@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DatasetError, Dataset, DeviceProfile, SvcParseError,
-                   load_dataset, parse_svc, write_dataset, Recording, TASKS)
+from .data import (Dataset, DeviceProfile, load_dataset, read_svc, write_dataset,
+                   Recording, TASKS)
 from .features import extract_features
 from .report import (FEATURES, aggregate, render_fig_data_csv, render_table1_csv,
                      render_table1_json, render_table2_csv, render_table2_json)
@@ -35,6 +35,8 @@ _FORMAT_HELP = """\
 SVC file format (all columns integers):
     line 1:        N                 number of samples
     lines 2..N+1:  x y timestamp pen_status azimuth altitude pressure
+Tokens are ASCII integers [+-]?[0-9]+ that fit int64, separated by spaces or
+tabs; lines end in LF or CRLF; blank lines are ignored.
 pen_status is 0 (up) or 1 (down); pressure lies in [0, max pressure level].
 
 Dataset directory layout:
@@ -120,12 +122,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     device = DeviceProfile(max_level=args.sat_level)
-    path = Path(args.input)
-    try:
-        samples = parse_svc(path.read_text(), device)
-    except SvcParseError as err:
-        err.path = str(path)
-        raise
+    samples = read_svc(args.input, device)
     # Identity fields are irrelevant for single-file inspection.
     recording = Recording(1, 1, 1, samples, device)
     fv = extract_features(recording, pen_down_only=args.pen_down_only)
@@ -199,13 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SvcParseError, DatasetError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # SvcParseError and DatasetError included
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,9 @@ are stored on disk in a plain-text SVC-style format:
     line 1:        N                       (number of samples)
     lines 2..N+1:  x y timestamp pen_status azimuth altitude pressure
 
-All seven channels are integers.  ``pen_status`` is 0 (pen up, hovering) or
+All seven channels are integers, written as ASCII tokens ``[+-]?[0-9]+``
+that fit int64 and are separated by spaces or tabs.  Lines end in LF or
+CRLF; blank lines are ignored.  ``pen_status`` is 0 (pen up, hovering) or
 1 (pen down, touching the surface).  ``pressure`` is a device level in
 ``[0, max_level]`` where ``max_level`` is the sensor ceiling (1023 for the
 reference tablet).
@@ -23,7 +25,9 @@ Missing files are legal; entries that do not match the layout are ignored.
 from __future__ import annotations
 
 import enum
+import io
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -46,6 +50,13 @@ N_COLUMNS = 7
 _SUBJECT_DIR_RE = re.compile(r"subject(0[1-9]|[1-9][0-9])$")
 _SESSION_DIR_RE = re.compile(r"session([1-5])$")
 _TASK_FILE_RE = re.compile(r"task([1-9])\.svc$")
+
+# The only bytes well-formed SVC text holds once CRLF is folded to LF.
+_SVC_BYTES = b"0123456789+- \t\n"
+_TOKEN_RE = re.compile(r"[+-]?[0-9]+")
+_SEPARATOR_RE = re.compile(r"[ \t]+")
+_INT64 = np.iinfo(np.int64)
+_ROW_FORMAT = " ".join(["%d"] * N_COLUMNS) + "\n"
 
 
 class SvcParseError(ValueError):
@@ -149,13 +160,9 @@ class Recording:
             raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise ValueError("recording has no samples")
-        pen = arr[:, COL_PEN_STATUS]
-        if not np.all((pen == 0) | (pen == 1)):
-            raise ValueError("pen_status values must be 0 or 1")
-        pressure = arr[:, COL_PRESSURE]
-        if pressure.min() < 0 or pressure.max() > self.device.max_level:
-            raise ValueError(
-                f"pressure values must lie in [0, {self.device.max_level}]")
+        invalid = _invalid_sample(arr, self.device.max_level)
+        if invalid is not None:
+            raise ValueError(f"sample {invalid[0]}: {invalid[1]}")
         ts = arr[:, COL_TIMESTAMP]
         if np.any(np.diff(ts) < 0):
             raise ValueError("timestamps must be non-decreasing")
@@ -242,29 +249,89 @@ class Dataset:
         return key in self._recordings
 
 
+def _invalid_sample(samples: np.ndarray, max_level: int) -> tuple[int, str] | None:
+    """Row index and description of the first sample of an (N, 7) array whose
+    pen status is not 0/1 or whose pressure lies outside ``[0, max_level]``;
+    None when every sample is valid."""
+    pen = samples[:, COL_PEN_STATUS]
+    pressure = samples[:, COL_PRESSURE]
+    if len(samples) == 0 or (pen.min() >= 0 and pen.max() <= 1
+                             and pressure.min() >= 0 and pressure.max() <= max_level):
+        return None
+    row = int(np.argmax((pen != 0) & (pen != 1) | (pressure < 0) | (pressure > max_level)))
+    if pen[row] not in (0, 1):
+        return row, f"pen_status must be 0 or 1, got {pen[row]}"
+    return row, f"pressure {pressure[row]} outside [0, {max_level}]"
+
+
 def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> np.ndarray:
     """Parse SVC text into an (N, 7) int64 sample array.
 
     ``source`` may be a string or a text file object.  The declared sample
     count must match the number of data lines exactly, every line must carry
-    seven integer columns, pen status must be 0/1 and pressure must lie in
-    ``[0, device.max_level]``.  Any violation raises :class:`SvcParseError`
-    with the 1-based line number; no partial result is ever returned.
+    seven ASCII integer tokens ``[+-]?[0-9]+`` that fit int64, pen status
+    must be 0/1 and pressure must lie in ``[0, device.max_level]``.  Any
+    violation raises :class:`SvcParseError` with the 1-based line number; no
+    partial result is ever returned.
 
-    Blank lines are ignored (the canonical writer emits none).
+    Blank lines are ignored (the canonical writer emits none).  Tokens are
+    separated by spaces or tabs; lines end in LF or CRLF.
     """
     text = source.read() if hasattr(source, "read") else source
-    numbered = [(i, line.strip()) for i, line in enumerate(text.splitlines(), start=1)]
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    samples = _parse_vectorized(text)
+    if samples is None or _invalid_sample(samples, device.max_level) is not None:
+        samples = _parse_lines(text, device)
+    return samples
+
+
+def _parse_vectorized(text: str) -> np.ndarray | None:
+    """Parse well-formed SVC text in one pass of numpy's C tokenizer.
+
+    Returns None, instead of locating the fault, whenever the text is not
+    plainly well formed: a byte outside the grammar, a bad header, a token
+    loadtxt rejects (int64 overflow included) or a count mismatch.
+    """
+    if not text.isascii() or text.encode("ascii").translate(None, _SVC_BYTES):
+        return None
+    head, _, body = text.lstrip(" \t\n").partition("\n")
+    try:
+        declared = int(head)
+    except ValueError:
+        return None
+    if not body.strip(" \t\n"):
+        return np.empty((0, N_COLUMNS), dtype=np.int64) if declared == 0 else None
+    try:
+        with warnings.catch_warnings():
+            # Older numpy parses an int64 overflow via float and only warns.
+            warnings.simplefilter("error", DeprecationWarning)
+            samples = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    return samples if samples.shape == (declared, N_COLUMNS) else None
+
+
+def _parse_lines(text: str, device: DeviceProfile) -> np.ndarray:
+    """Line-by-line parse that raises at the first bad line.
+
+    Runs only after :func:`_parse_vectorized` has given up, so that errors
+    carry a file line and a reason.  Syntax is checked line by line; the
+    pen and pressure checks run on the rows parsed before the first syntax
+    error, so whichever fault comes first in the file is reported.
+    """
+    numbered = [(i, line.strip(" \t")) for i, line in enumerate(text.split("\n"), start=1)]
     numbered = [(i, line) for i, line in numbered if line]
     if not numbered:
         raise SvcParseError("missing sample-count header")
 
     header_line_no, header = numbered[0]
-    try:
-        declared = int(header)
-    except ValueError:
+    if not _TOKEN_RE.fullmatch(header):
         raise SvcParseError(f"sample-count header is not an integer: {header!r}",
-                            line=header_line_no) from None
+                            line=header_line_no)
+    declared = _int64(header)
+    if declared is None:
+        raise SvcParseError(f"sample count out of range: {header!r}", line=header_line_no)
     if declared < 0:
         raise SvcParseError(f"sample count must be non-negative, got {declared}",
                             line=header_line_no)
@@ -276,35 +343,57 @@ def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> 
             f"found {len(data_lines)} data lines",
             line=header_line_no)
 
-    rows = np.empty((declared, N_COLUMNS), dtype=np.int64)
-    for i, (line_no, line) in enumerate(data_lines):
-        parts = line.split()
-        if len(parts) != N_COLUMNS:
-            raise SvcParseError(f"expected {N_COLUMNS} columns, got {len(parts)}",
-                                line=line_no)
-        try:
-            values = [int(p) for p in parts]
-        except ValueError:
-            bad = next(p for p in parts if not _is_int(p))
-            raise SvcParseError(f"non-integer token {bad!r}", line=line_no) from None
-        if values[COL_PEN_STATUS] not in (0, 1):
-            raise SvcParseError(
-                f"pen_status must be 0 or 1, got {values[COL_PEN_STATUS]}",
-                line=line_no)
-        if not 0 <= values[COL_PRESSURE] <= device.max_level:
-            raise SvcParseError(
-                f"pressure {values[COL_PRESSURE]} outside [0, {device.max_level}]",
-                line=line_no)
-        rows[i] = values
-    return rows
+    rows = []
+    fault = None
+    for line_no, line in data_lines:
+        tokens = _SEPARATOR_RE.split(line)
+        values = [_int64(t) for t in tokens if _TOKEN_RE.fullmatch(t)]
+        if len(tokens) != N_COLUMNS:
+            fault = SvcParseError(f"expected {N_COLUMNS} columns, got {len(tokens)}",
+                                  line=line_no)
+        elif len(values) != N_COLUMNS:
+            bad = next(t for t in tokens if not _TOKEN_RE.fullmatch(t))
+            fault = SvcParseError(f"non-integer token {bad!r}", line=line_no)
+        elif None in values:
+            bad = tokens[values.index(None)]
+            fault = SvcParseError(f"integer out of range: {bad!r}", line=line_no)
+        if fault is not None:
+            break
+        rows.append(values)
+    samples = np.array(rows, dtype=np.int64).reshape(len(rows), N_COLUMNS)
+    invalid = _invalid_sample(samples, device.max_level)
+    if invalid is not None:
+        raise SvcParseError(invalid[1], line=data_lines[invalid[0]][0])
+    if fault is not None:
+        raise fault
+    return samples
 
 
-def _is_int(token: str) -> bool:
+def _int64(token: str) -> int | None:
+    """Value of a ``[+-]?[0-9]+`` token, or None when it does not fit int64."""
+    magnitude = token.lstrip("+-").lstrip("0")
+    if len(magnitude) > 19:  # also keeps int() below its digit limit
+        return None
+    value = -int(magnitude or "0") if token[0] == "-" else int(magnitude or "0")
+    return value if _INT64.min <= value <= _INT64.max else None
+
+
+def read_svc(path: Path | str, device: DeviceProfile = DeviceProfile()) -> np.ndarray:
+    """Read and parse one SVC file; every error names ``path``.
+
+    The file is decoded as ASCII here, so a non-ASCII byte is reported as a
+    :class:`SvcParseError` with the path and line rather than a decode error.
+    """
+    raw = Path(path).read_bytes()
     try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+        return parse_svc(raw.decode("ascii"), device)
+    except UnicodeDecodeError as err:
+        raise SvcParseError(f"non-ASCII byte 0x{raw[err.start]:02x}",
+                            line=raw.count(b"\n", 0, err.start) + 1,
+                            path=str(path)) from None
+    except SvcParseError as err:
+        err.path = str(path)
+        raise
 
 
 def serialize_svc(samples) -> str:
@@ -320,9 +409,7 @@ def serialize_svc(samples) -> str:
         arr = np.asarray(samples, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
             raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
-    lines = [str(arr.shape[0])]
-    lines.extend(" ".join(str(v) for v in row) for row in arr.tolist())
-    return "\n".join(lines) + "\n"
+    return f"{arr.shape[0]}\n" + (_ROW_FORMAT * arr.shape[0]) % tuple(arr.ravel().tolist())
 
 
 def recording_path(root: Path, subject_id: int, session_id: int, task_id: int) -> Path:
@@ -353,16 +440,12 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
             session_id = int(m.group(1))
             for task_file in sorted(session_dir.iterdir()):
                 m = _TASK_FILE_RE.fullmatch(task_file.name)
-                if m is None:
+                if m is None or not task_file.is_file():
                     continue
                 task_id = int(m.group(1))
-                text = task_file.read_text()
+                samples = read_svc(task_file, device)
                 try:
-                    samples = parse_svc(text, device)
                     recording = Recording(subject_id, session_id, task_id, samples, device)
-                except SvcParseError as err:
-                    err.path = str(task_file)
-                    raise
                 except ValueError as err:
                     raise DatasetError(f"{task_file}: {err}") from err
                 dataset.add(recording)

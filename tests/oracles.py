@@ -70,3 +70,71 @@ def exact_ranksum_p_by_enumeration(a, b) -> float:
     lower = int(np.count_nonzero(sums <= observed))
     upper = int(np.count_nonzero(sums >= observed))
     return min(1.0, 2.0 * min(lower, upper) / total)
+
+
+class SvcReject(Exception):
+    """Raised by :func:`parse_svc_by_lines`; ``line`` is the 1-based file line
+    of the first fault (None when the text has no header at all)."""
+
+    def __init__(self, line):
+        super().__init__(f"line {line}")
+        self.line = line
+
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+def _ascii_int(token: str):
+    """Value of an ASCII ``[+-]?[0-9]+`` token, or None."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not digits or any(c not in "0123456789" for c in digits):
+        return None
+    value = 0
+    for c in digits:
+        value = value * 10 + "0123456789".index(c)
+    return -value if token[0] == "-" else value
+
+
+def _split_blanks(line: str) -> list[str]:
+    """Tokens of ``line`` separated by runs of spaces and tabs."""
+    tokens, current = [], ""
+    for c in line:
+        if c in " \t":
+            if current:
+                tokens.append(current)
+            current = ""
+        else:
+            current += c
+    if current:
+        tokens.append(current)
+    return tokens
+
+
+def parse_svc_by_lines(text: str, max_level: int) -> list[list[int]]:
+    """Reference SVC parser: one loop over the lines, checking each line
+    completely (columns, tokens, int64 range, pen status, pressure) before
+    the next.  A CR is part of a line ending only directly before an LF;
+    lines holding only spaces and tabs are blank and skipped."""
+    lines = text.split("\n")
+    numbered = []
+    for i, line in enumerate(lines, start=1):
+        if i < len(lines) and line.endswith("\r"):
+            line = line[:-1]
+        tokens = _split_blanks(line)
+        if tokens:
+            numbered.append((i, tokens))
+    if not numbered:
+        raise SvcReject(None)
+    header_line, header = numbered[0]
+    declared = _ascii_int(header[0]) if len(header) == 1 else None
+    if declared is None or declared < 0 or declared != len(numbered) - 1:
+        raise SvcReject(header_line)
+    rows = []
+    for line_no, tokens in numbered[1:]:
+        values = [_ascii_int(t) for t in tokens]
+        if (len(values) != 7 or None in values
+                or any(not _INT64_MIN <= v <= _INT64_MAX for v in values)
+                or values[3] not in (0, 1) or not 0 <= values[6] <= max_level):
+            raise SvcReject(line_no)
+        rows.append(values)
+    return rows

@@ -140,6 +140,22 @@ class TestAnalyzeCommand:
         assert "task3.svc" in stderr
         assert ":3:" in stderr  # 1-based line of the bad pen status
 
+    @pytest.mark.parametrize("content, message", [
+        (b"1\n99999999999999999999 2 3 1 0 0 5\n", ":2: integer out of range"),
+        (b"1\n1 2 3 1 0 0 \xff5\n", ":2: non-ASCII byte 0xff"),
+        (b"1\n1_0 2 3 1 0 0 5\n", ":2: non-integer token '1_0'"),
+    ])
+    def test_malformed_token_reports_location(self, dataset_dir, tmp_path, capsys,
+                                              content, message):
+        bad = dataset_dir / "subject01" / "session2" / "task3.svc"
+        bad.write_bytes(content)
+        code, _, stderr = run_cli(
+            capsys, "analyze", "--input", str(dataset_dir),
+            "--output", str(tmp_path / "res"))
+        assert code == 1
+        assert stderr.startswith(f"error: {bad}{message}")
+        assert not (tmp_path / "res").exists()
+
     def test_single_subject_warns(self, tmp_path, capsys):
         ds = tmp_path / "solo"
         run_cli(capsys, *synth_args(ds, subjects=1, samples=50))
@@ -212,6 +228,11 @@ class TestFeaturesCommand:
     def test_missing_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "features", "--input",
                                   str(tmp_path / "absent.svc"))
+        assert code == 1
+        assert stderr.startswith("error:")
+
+    def test_unreadable_input_fails(self, tmp_path, capsys):
+        code, _, stderr = run_cli(capsys, "features", "--input", str(tmp_path))
         assert code == 1
         assert stderr.startswith("error:")
 

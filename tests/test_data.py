@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, PenStatus,
                             Recording, Sample, SvcParseError, load_dataset,
                             parse_svc, recording_path, serialize_svc,
@@ -99,6 +100,126 @@ class TestParseSvc:
         # second line is bad: nothing from line one must leak out
         with pytest.raises(SvcParseError):
             parse_svc("2\n10 20 0 1 0 0 500\n10 20 5 1 0 0 9999\n")
+
+    def test_int64_limits_accepted(self):
+        text = "1\n9223372036854775807 -9223372036854775808 0 1 0 0 5\n"
+        assert parse_svc(text)[0, :2].tolist() == [2**63 - 1, -2**63]
+
+    def test_overlong_tokens_are_located(self):
+        # longer than Python's int() digit limit
+        with pytest.raises(SvcParseError, match="integer out of range") as exc:
+            parse_svc("1\n" + "9" * 5000 + " 2 3 1 0 0 5\n")
+        assert exc.value.line == 2
+        with pytest.raises(SvcParseError, match="count out of range") as exc:
+            parse_svc("9" * 5000 + "\n10 20 0 1 0 0 500\n")
+        assert exc.value.line == 1
+        text = "0" * 5000 + "1\n" + "0" * 5000 + "10 20 0 1 0 0 500\n"
+        assert parse_svc(text).tolist() == [[10, 20, 0, 1, 0, 0, 500]]
+
+    @pytest.mark.parametrize("line", [
+        "1_0 20 0 1 0 0 500",
+        "\u0661 20 0 1 0 0 500",            # ARABIC-INDIC DIGIT ONE
+        "1.0 20 0 1 0 0 500",
+        "0x1 20 0 1 0 0 500",
+        "1e3 20 0 1 0 0 500",
+        "10\u00a020 0 1 0 0 500",          # no-break space as a separator
+        "99999999999999999999 20 0 1 0 0 500",
+    ])
+    def test_rejects_tokens_outside_ascii_grammar(self, line):
+        # line 3 is blank, so the bad line is file line 4 but data row 2
+        with pytest.raises(SvcParseError) as exc:
+            parse_svc(f"2\n10 20 0 1 0 0 500\n\n{line}\n")
+        assert exc.value.line == 4
+
+    def test_rejects_non_ascii_header(self):
+        with pytest.raises(SvcParseError, match="header is not an integer") as exc:
+            parse_svc("\n\u0661\n10 20 0 1 0 0 500\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("text", [
+        "2\n+10 +20 -0 +1 0 0 +500\n11 21 10 1 0 0 1023\n",
+        "2\n10\t20\t0\t1\t0\t0\t500\n\t11  21 10 1 0\t 0 1023 \n",
+        "2\r\n10 20 0 1 0 0 500\r\n11 21 10 1 0 0 1023\r\n",
+        "\n 2\n\n10 20 0 1 0 0 500\n \t\n11 21 10 1 0 0 1023\n\n",
+        "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023",
+    ])
+    def test_accepts_signs_tabs_crlf_and_blank_lines(self, text):
+        assert np.array_equal(parse_svc(text), parse_svc(VALID_TEXT))
+
+    def test_lone_carriage_return_rejected(self):
+        with pytest.raises(SvcParseError) as exc:
+            parse_svc("1\n10 20 0 1 0\r0 500\n")
+        assert exc.value.line == 2
+
+    def test_first_fault_in_file_order_is_reported(self):
+        # a pen-status fault on line 2 precedes a column fault on line 3
+        text = "2\n10 20 0 7 0 0 500\n10 20 0 1 0 0\n"
+        with pytest.raises(SvcParseError, match="pen_status") as exc:
+            parse_svc(text)
+        assert exc.value.line == 2
+
+
+# Tokens a generated line may carry in place of a valid one.
+_NEAR_TOKENS = ["1_0", "\u0661", "1.0", "0x1", "1e3", "+-1", "-", "+", "5-", "#1",
+                "1\u00a02", "1\x0b2", "1\r2", "2", "-1", "1024",
+                "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+                "99999999999999999999", "0007", "+0"]
+
+_NEAR_SEPARATORS = ["\u00a0", "\x0b", "\x0c", "\x1f", "\u2003", "\r", ",", "_"]
+
+
+@st.composite
+def svc_texts(draw):
+    """SVC texts that are valid or close to it: random separators, blank
+    lines, CRLF endings, header off by one, and a few tokens or columns
+    replaced, merged, dropped or added."""
+    rows = draw(st.lists(st.lists(st.integers(0, 1023).map(str), min_size=7, max_size=7),
+                         max_size=8))
+    for row in rows:
+        row[3] = draw(st.sampled_from(["0", "1"]))
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        row = draw(st.sampled_from(rows))
+        edit = draw(st.sampled_from(["replace", "replace", "merge", "drop", "add"]))
+        if edit == "replace":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_NEAR_TOKENS))
+        elif edit == "merge" and len(row) > 1:
+            # two tokens joined by a separator outside the grammar
+            row[:2] = [row[0] + draw(st.sampled_from(_NEAR_SEPARATORS)) + row[1]]
+        elif edit == "drop" and len(row) > 1:
+            row.pop()
+        else:
+            row.append("0")
+    declared = len(rows) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    header = draw(st.sampled_from(["", "+", " ", "\t"])) + str(declared)
+    lines = [header] + [
+        draw(st.sampled_from(["", " ", "\t"]))
+        + draw(st.sampled_from([" ", "  ", "\t", " \t"])).join(row)
+        + draw(st.sampled_from(["", " ", "\t"]))
+        for row in rows]
+    text_lines = []
+    for line in lines:
+        text_lines.extend([""] * draw(st.sampled_from([0, 0, 0, 1, 2])))
+        text_lines.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(text_lines) + draw(st.sampled_from([eol, ""]))
+
+
+class TestParseSvcAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(svc_texts())
+    def test_same_array_or_same_error_line(self, text):
+        try:
+            expected = oracles.parse_svc_by_lines(text, 1023)
+        except oracles.SvcReject as reject:
+            with pytest.raises(SvcParseError) as exc:
+                parse_svc(text)
+            assert exc.value.line == reject.line
+        else:
+            got = parse_svc(text)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 7))
 
 
 class TestSerializeSvc:
@@ -238,6 +359,26 @@ class TestDatasetIO:
             load_dataset(tmp_path)
         assert "task2.svc" in str(exc.value)
         assert exc.value.line == 2
+
+    def test_invalid_utf8_names_path(self, tmp_path):
+        ds = generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=5))
+        write_dataset(ds, tmp_path)
+        bad = tmp_path / "subject01" / "session1" / "task2.svc"
+        bad.write_bytes(b"1\n10 20 0 1 0 0 5\xff0\n")
+        with pytest.raises(SvcParseError, match="non-ASCII byte 0xff") as exc:
+            load_dataset(tmp_path)
+        assert exc.value.path == str(bad)
+        assert exc.value.line == 2
+
+    def test_task_directory_ignored(self, tmp_path):
+        ds = generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=5))
+        write_dataset(ds, tmp_path)
+        task = tmp_path / "subject01" / "session1" / "task1.svc"
+        task.unlink()
+        task.mkdir()
+        loaded = load_dataset(tmp_path)
+        assert len(loaded) == 44
+        assert loaded.get(1, 1, 1) is None
 
     def test_out_of_layout_entries_ignored(self, tmp_path):
         ds = generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=5))
