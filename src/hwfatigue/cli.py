@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, DeviceProfile, load_dataset, read_svc, write_dataset,
-                   Recording, TASKS)
+from .data import (MAX_SUBJECT_ID, Dataset, DeviceProfile, load_dataset, read_svc,
+                   write_dataset, Recording, TASKS)
 from .features import extract_features
 from .report import (FEATURES, aggregate, render_fig_data_csv, render_table1_csv,
                      render_table1_json, render_table2_csv, render_table2_json)
@@ -44,6 +44,31 @@ Dataset directory layout:
 with NN = 01..99 (zero-padded), S = 1..5, T = 1..9.  Missing files are
 treated as absent recordings, not errors.
 """
+
+
+def _int_flag(low: int | None = None, high: int | None = None):
+    """argparse ``type=`` for an integer flag in ``[low, high]`` (either end
+    open when None); a value outside it exits with status 2 before any work."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
+def _probability(text: str) -> float:
+    """argparse ``type=`` for a significance level in the open interval (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
+_probability.__name__ = "float"
 
 
 def _json_text(obj) -> str:
@@ -156,10 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_FORMAT_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     p_synth.add_argument("--output", required=True, help="dataset directory to create")
     p_synth.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p_synth.add_argument("--subjects", type=int, default=21,
-                         help="number of subjects (default 21)")
-    p_synth.add_argument("--samples", type=int, default=2000,
-                         help="samples per recording (default 2000)")
+    p_synth.add_argument("--subjects", type=_int_flag(high=MAX_SUBJECT_ID), default=21,
+                         help="number of subjects, 1..99 (default 21)")
+    p_synth.add_argument("--samples", type=_int_flag(low=1), default=2000,
+                         help="samples per recording, at least 1 (default 2000)")
     p_synth.add_argument("--sat-level", type=int, default=1023,
                          help="device max pressure level (default 1023)")
     p_synth.set_defaults(func=cmd_synth)
@@ -171,10 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--output", required=True, help="directory for result files")
     p_analyze.add_argument("--sat-level", type=int, default=1023,
                            help="saturation level / device max (default 1023)")
-    p_analyze.add_argument("--alpha", type=float, default=0.05,
-                           help="significance threshold (default 0.05)")
-    p_analyze.add_argument("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD,
-                           help="max pooled size for the exact test (default 25)")
+    p_analyze.add_argument("--alpha", type=_probability, default=0.05,
+                           help="significance threshold, in (0, 1) (default 0.05)")
+    p_analyze.add_argument("--exact-threshold", type=_int_flag(low=0),
+                           default=DEFAULT_EXACT_THRESHOLD,
+                           help="max pooled size for the exact test, at least 0; "
+                                "pooled sizes above 64 always use the normal "
+                                "approximation (default 25)")
     p_analyze.add_argument("--feature", choices=FEATURES, default="saturation_ratio",
                            help="feature the session comparisons run on")
     p_analyze.set_defaults(func=cmd_analyze)

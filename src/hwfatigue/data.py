@@ -36,6 +36,8 @@ import numpy as np
 
 SESSIONS = (1, 2, 3, 4, 5)
 TASKS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
+# Largest subject id the two-digit subject<NN> layout can hold.
+MAX_SUBJECT_ID = 99
 
 # Column order of an SVC row and of Recording.samples.
 COL_X = 0
@@ -164,8 +166,11 @@ class Recording:
         if invalid is not None:
             raise ValueError(f"sample {invalid[0]}: {invalid[1]}")
         ts = arr[:, COL_TIMESTAMP]
-        if np.any(np.diff(ts) < 0):
-            raise ValueError("timestamps must be non-decreasing")
+        backwards = np.flatnonzero(np.diff(ts) < 0)
+        if backwards.size:
+            i = int(backwards[0]) + 1
+            raise ValueError(f"sample {i}: timestamp {ts[i]} follows {ts[i - 1]}, "
+                             "timestamps must be non-decreasing")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -455,13 +460,13 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
 def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:
     """Serialize every recording into the directory layout under ``root``.
 
-    Returns the written paths.  Subject ids above 99 do not fit the
-    two-digit layout and are rejected.
+    Returns the written paths.  Subject ids above :data:`MAX_SUBJECT_ID` do
+    not fit the two-digit layout and are rejected.
     """
     root = Path(root)
     written = []
     for recording in dataset:
-        if recording.subject_id > 99:
+        if recording.subject_id > MAX_SUBJECT_ID:
             raise DatasetError(
                 f"subject_id {recording.subject_id} does not fit the subject<NN> layout")
         path = recording_path(root, *recording.key)

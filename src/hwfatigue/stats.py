@@ -1,9 +1,9 @@
 """Two-sided Wilcoxon rank-sum (Mann-Whitney) test with mid-rank ties.
 
 The statistic is W, the sum of the pooled mid-ranks of the first sample.
-Small pooled sizes use the exact permutation distribution of W conditional
-on the observed tie pattern, computed by shift-convolution over the rank
-multiset; larger sizes use the tie-corrected, continuity-corrected normal
+Pooled sizes up to the exact threshold (never above 64) use the exact
+permutation distribution of W conditional on the observed tie pattern;
+larger sizes use the tie-corrected, continuity-corrected normal
 approximation:
 
     mu_W    = n_a (n_a + n_b + 1) / 2
@@ -14,10 +14,19 @@ approximation:
 where N = n_a + n_b and t runs over tie-group sizes of the pooled values.
 The two-sided exact p-value is min(1, 2 min(P(W <= w), P(W >= w))), both
 tails including the observed value.
+
+The exact tails come from the shift-convolution dynamic programme of
+Streitberg & Roehmel (1986) over doubled mid-ranks (integers even under
+ties), restricted to the smaller tail: ranks are reflected about the null
+mean when the observed sum lies above it, only sums up to the observed one
+are tabulated, and each rank updates just the rows and columns that can
+still contribute.  The counts are exact int64 integers, at most
+C(64, 32) < 2**63, so the p-value equals the full table's bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +37,8 @@ import numpy as np
 # Maximum pooled size for which the exact distribution is used by default.
 DEFAULT_EXACT_THRESHOLD = 25
 
-# Fallback boundary of the int64 subset-count arithmetic in the exact path.
+# Largest pooled size of the exact path, whose int64 subset counts stay at or
+# below C(64, 32) < 2**63; ``ranksum`` uses the normal approximation above it.
 _EXACT_HARD_LIMIT = 64
 
 # Canonical column order of the pairwise session comparisons.
@@ -103,29 +113,44 @@ def _validate_two_samples(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _rank_sum_counts(doubled: np.ndarray, k: int) -> np.ndarray:
-    """Subset counts of the exact null distribution.
+def _smaller_tail_count(doubled: np.ndarray, k: int, w2: int) -> int:
+    """min(#{S: W2(S) <= w2}, #{S: W2(S) >= w2}) over the k-subsets S of the
+    pooled positions, where W2(S) sums the doubled mid-ranks in S.
 
-    ``doubled`` holds the pooled mid-ranks times two (integers even under
-    ties).  Entry s of the result is the number of k-subsets of the pooled
-    positions whose doubled ranks sum to s.  Shift-convolution dynamic
-    programming; total count C(n, k) stays within int64 for n <= 64.
+    Reflecting every rank d to 2(N+1) - d maps the upper tail onto a lower
+    one, so after the reflection only sums up to ``w2`` are counted: one
+    shift-convolution table of k+1 rows and w2+1 columns, built over the
+    ranks in ascending order.  Each rank updates one rectangle of the table
+    in a single numpy slice (ufunc overlap handling reads the previous
+    rank's rows), bounded to the rows that can still reach k and to the
+    columns between the smallest and largest sums those rows can hold.
+    Counts are exact int64 integers: none exceeds C(N, k) <= C(64, 32).
     """
-    total_sum = int(doubled.sum())
-    dp = np.zeros((k + 1, total_sum + 1), dtype=np.int64)
+    n = doubled.size
+    if w2 > k * (n + 1):  # above the null mean: the lower tail is the upper one
+        doubled = 2 * (n + 1) - doubled
+        w2 = 2 * k * (n + 1) - w2
+    ranks = np.sort(doubled).tolist()
+    prefix = [0, *itertools.accumulate(ranks)]
+    dp = np.zeros((k + 1, w2 + 1), dtype=np.int64)
     dp[0, 0] = 1
-    for r in doubled.tolist():
-        for kk in range(k, 0, -1):
-            dp[kk, r:] += dp[kk - 1, : total_sum + 1 - r]
-    return dp[k]
+    for i, r in enumerate(ranks):
+        lo, hi = max(1, k - (n - i - 1)), min(i + 1, k)
+        c0, c1 = max(r, prefix[lo]), min(w2, prefix[i + 1])
+        if c0 <= c1:
+            dp[lo:hi + 1, c0:c1 + 1] += dp[lo - 1:hi, c0 - r:c1 + 1 - r]
+    at_or_below = int(dp[k].sum())
+    at_or_above = math.comb(n, k) - (at_or_below - int(dp[k, w2]))
+    return min(at_or_below, at_or_above)
 
 
 def ranksum_exact(a, b) -> RankSumResult:
     """Exact two-sided rank-sum test.
 
-    Enumerates (via dynamic programming) all C(n_a+n_b, n_a) equally likely
+    Counts (via dynamic programming) the C(n_a+n_b, n_a) equally likely
     assignments of the pooled mid-ranks to the first sample, so the result
-    is permutation-exact conditional on the observed tie pattern.
+    is permutation-exact conditional on the observed tie pattern.  Pooled
+    sizes above 64 raise ``ValueError``.
     """
     a, b = _validate_two_samples(a, b)
     n_a, n_b = a.size, b.size
@@ -134,11 +159,8 @@ def ranksum_exact(a, b) -> RankSumResult:
     ranks = midranks(np.concatenate([a, b]))
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     w2 = int(doubled[:n_a].sum())
-    counts = _rank_sum_counts(doubled, n_a)
-    total = int(counts.sum())
-    lower = int(counts[: w2 + 1].sum())
-    upper = int(counts[w2:].sum())
-    p = min(1.0, 2.0 * min(lower, upper) / total)
+    tail = _smaller_tail_count(doubled, n_a, w2)
+    p = min(1.0, 2.0 * tail / math.comb(n_a + n_b, n_a))
     return RankSumResult(rank_sum=w2 / 2.0, p_value=p, method="exact", n_a=n_a, n_b=n_b)
 
 
@@ -167,9 +189,9 @@ def ranksum_normal(a, b) -> RankSumResult:
 
 def ranksum(a, b, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> RankSumResult:
     """Two-sided rank-sum test, exact for pooled sizes up to
-    ``exact_threshold`` and normal-approximated above."""
+    ``min(exact_threshold, 64)`` and normal-approximated above."""
     a, b = _validate_two_samples(a, b)
-    if a.size + b.size <= exact_threshold:
+    if a.size + b.size <= min(exact_threshold, _EXACT_HARD_LIMIT):
         return ranksum_exact(a, b)
     return ranksum_normal(a, b)
 

@@ -138,3 +138,31 @@ def parse_svc_by_lines(text: str, max_level: int) -> list[list[int]]:
             raise SvcReject(line_no)
         rows.append(values)
     return rows
+
+
+def full_table_ranksum(a, b) -> tuple[float, float]:
+    """(p_value, rank_sum) of the exact two-sided rank-sum test from the
+    complete shift-convolution table of Streitberg & Roehmel (1986).
+
+    Row kk of the table counts the kk-subsets of the pooled positions by
+    their doubled mid-rank sum, over every sum from 0 to the total; each
+    rank updates every row from k down to 1.  Same int64 counts and float
+    expression as the library's tail-only kernel, so results compare with
+    ``==``.
+    """
+    pooled = np.concatenate([np.asarray(a, dtype=np.float64),
+                             np.asarray(b, dtype=np.float64)])
+    k = len(a)
+    doubled = np.array(doubled_midranks(pooled.tolist()), dtype=np.int64)
+    w2 = int(doubled[:k].sum())
+    total_sum = int(doubled.sum())
+    dp = np.zeros((k + 1, total_sum + 1), dtype=np.int64)
+    dp[0, 0] = 1
+    for r in doubled.tolist():
+        for kk in range(k, 0, -1):
+            dp[kk, r:] += dp[kk - 1, : total_sum + 1 - r]
+    counts = dp[k]
+    total = int(counts.sum())
+    lower = int(counts[: w2 + 1].sum())
+    upper = int(counts[w2:].sum())
+    return min(1.0, 2.0 * min(lower, upper) / total), w2 / 2.0

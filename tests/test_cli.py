@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from hwfatigue.cli import ANALYZE_OUTPUTS, build_parser, main
+from hwfatigue.data import Dataset, write_dataset
+from hwfatigue.synth import SynthConfig, generate_dataset
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,18 @@ class TestSynthCommand:
             capsys, "synth", "--output", str(tmp_path / "x"), "--subjects", "0")
         assert code == 1
         assert stderr.startswith("error:")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--subjects", "100"), ("--subjects", "120"), ("--subjects", "x"),
+        ("--samples", "0"), ("--samples", "-5"),
+    ])
+    def test_invalid_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "ds"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--output", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:
@@ -155,6 +169,45 @@ class TestAnalyzeCommand:
         assert code == 1
         assert stderr.startswith(f"error: {bad}{message}")
         assert not (tmp_path / "res").exists()
+
+    def test_decreasing_timestamp_reports_path_and_sample(self, dataset_dir, tmp_path,
+                                                          capsys):
+        bad = dataset_dir / "subject02" / "session4" / "task7.svc"
+        bad.write_text("2\n1 2 30 1 0 0 5\n1 2 20 1 0 0 5\n")
+        code, _, stderr = run_cli(
+            capsys, "analyze", "--input", str(dataset_dir),
+            "--output", str(tmp_path / "res"))
+        assert code == 1
+        assert stderr.startswith(f"error: {bad}: sample 1: timestamp 20 follows 30")
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "7"), ("--alpha", "1"), ("--alpha", "0"), ("--alpha", "-0.1"),
+        ("--alpha", "nan"), ("--exact-threshold", "-1"), ("--exact-threshold", "2.5"),
+    ])
+    def test_invalid_flag_exits_2_and_writes_nothing(self, dataset_dir, tmp_path,
+                                                     capsys, flag, value):
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", str(dataset_dir), "--output", str(out),
+                  flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exact_threshold_above_64_falls_back_to_normal(self, tmp_path, capsys):
+        # 33 subjects in sessions 1 and 2 of task 1: one comparison, pooled size 66
+        ds = generate_dataset(SynthConfig(n_subjects=33, samples_per_recording=20))
+        write_dataset(Dataset(r for r in ds if r.task_id == 1 and r.session_id <= 2),
+                      tmp_path / "ds")
+        with pytest.warns(UserWarning, match="skipping"):
+            code, _, _ = run_cli(capsys, "analyze", "--input", str(tmp_path / "ds"),
+                                 "--output", str(tmp_path / "res"),
+                                 "--exact-threshold", "100")
+        assert code == 0
+        doc = json.loads((tmp_path / "res" / "table2.json").read_text())
+        cells = [cell for row in doc["rows"] for cell in row["cells"].values() if cell]
+        assert [cell["method"] for cell in cells] == ["normal_approx"]
 
     def test_single_subject_warns(self, tmp_path, capsys):
         ds = tmp_path / "solo"

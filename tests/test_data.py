@@ -289,6 +289,11 @@ class TestRecording:
         with pytest.raises(ValueError, match="non-decreasing"):
             Recording(1, 1, 1, samples)
 
+    def test_decreasing_timestamp_names_first_sample(self):
+        samples = np.array([[0, 0, t, 1, 0, 0, 5] for t in (10, 10, 30, 20, 5)])
+        with pytest.raises(ValueError, match=r"^sample 3: timestamp 20 follows 30, "):
+            Recording(1, 1, 1, samples)
+
     def test_rejects_pressure_above_device(self):
         with pytest.raises(ValueError, match="pressure"):
             make_recording(pressures=(1024,))
@@ -369,6 +374,15 @@ class TestDatasetIO:
             load_dataset(tmp_path)
         assert exc.value.path == str(bad)
         assert exc.value.line == 2
+
+    def test_decreasing_timestamp_names_path_and_sample(self, tmp_path):
+        ds = generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=5))
+        write_dataset(ds, tmp_path)
+        bad = tmp_path / "subject01" / "session3" / "task4.svc"
+        bad.write_text("3\n1 2 30 1 0 0 5\n1 2 30 1 0 0 5\n1 2 20 1 0 0 5\n")
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(tmp_path)
+        assert str(exc.value).startswith(f"{bad}: sample 2: timestamp 20 follows 30")
 
     def test_task_directory_ignored(self, tmp_path):
         ds = generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=5))

@@ -1,10 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hwfatigue.stats import (SESSION_PAIRS, midranks, pairwise_session_tests,
                              ranksum, ranksum_exact, ranksum_normal)
 
-from oracles import doubled_midranks, exact_ranksum_p_by_enumeration
+from oracles import (doubled_midranks, exact_ranksum_p_by_enumeration,
+                     full_table_ranksum)
+
+
+@st.composite
+def pooled_samples(draw):
+    """Two samples with 2 <= n_a + n_b <= 64 and any split, drawn as heavily
+    tied small-integer alphabets, continuous values, or (nearly) separated
+    samples whose rank sum lies in the far tails."""
+    n = draw(st.integers(2, 64))
+    n_a = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(("tied", "continuous", "separated")))
+    if kind == "tied":
+        alphabet = draw(st.integers(1, 4))
+        values = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+    elif kind == "continuous":
+        values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                               min_size=n, max_size=n))
+    else:
+        values = sorted(draw(st.lists(st.integers(0, 30), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            values.reverse()
+        swap = draw(st.integers(0, n - 1))
+        values[0], values[swap] = values[swap], values[0]
+    return values[:n_a], values[n_a:]
 
 
 class TestMidranks:
@@ -64,6 +90,32 @@ class TestExact:
             want = exact_ranksum_p_by_enumeration(a, b)
             assert got == pytest.approx(want, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(pooled_samples())
+    @example(([3] * 40, [3] * 24))
+    @example((list(range(32)), list(range(32, 64))))
+    @example((list(range(63, 23, -1)), list(range(24))))
+    @example(([0, 1] * 31 + [1], [0]))
+    def test_matches_full_table_oracle(self, samples):
+        a, b = samples
+        got = ranksum_exact(a, b)
+        assert (got.p_value, got.rank_sum) == full_table_ranksum(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 64).flatmap(lambda n: st.tuples(
+        st.integers(1, n - 1),
+        st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))))
+    def test_matches_scipy_without_ties(self, split_values):
+        stats = pytest.importorskip("scipy.stats")
+        n_a, values = split_values
+        a, b = values[:n_a], values[n_a:]
+        want = stats.mannwhitneyu(a, b, method="exact", alternative="two-sided").pvalue
+        assert ranksum_exact(a, b).p_value == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_pooled_size_above_hard_limit_rejected(self):
+        with pytest.raises(ValueError, match="at most 64"):
+            ranksum_exact(list(range(40)), list(range(25)))
+
     def test_symmetry_under_swap(self):
         rng = np.random.default_rng(24)
         for _ in range(50):
@@ -121,6 +173,12 @@ class TestDispatch:
         a, b = list(range(13)), list(range(12))
         assert ranksum(a, b).method == "exact"          # 25 <= 25
         assert ranksum(a + [99], b).method == "normal_approx"
+
+    def test_threshold_above_hard_limit_falls_back_to_normal(self):
+        assert ranksum(list(range(40)), list(range(24)), exact_threshold=100).method == "exact"
+        r = ranksum(list(range(40)), list(range(25)), exact_threshold=100)
+        assert r.method == "normal_approx"
+        assert r.p_value == ranksum_normal(list(range(40)), list(range(25))).p_value
 
     def test_threshold_override(self):
         a, b = [1, 2, 3], [4, 5, 6]
