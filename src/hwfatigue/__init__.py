@@ -9,7 +9,7 @@ produces campaign-shaped datasets for end-to-end runs.
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE,
                    COL_TIMESTAMP, COL_X, COL_Y, Dataset, DatasetError,
-                   DeviceProfile, PenStatus, Recording, Sample, SESSIONS,
+                   DeviceProfile, PenStatus, Recording, SESSIONS,
                    SvcParseError, TASKS, load_dataset, parse_svc,
                    recording_path, serialize_svc, write_dataset)
 from .features import (FeatureVector, extract_features, first_difference,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "COL_ALTITUDE", "COL_AZIMUTH", "COL_PEN_STATUS", "COL_PRESSURE",
     "COL_TIMESTAMP", "COL_X", "COL_Y", "Dataset", "DatasetError",
-    "DeviceProfile", "PenStatus", "Recording", "Sample", "SESSIONS",
+    "DeviceProfile", "PenStatus", "Recording", "SESSIONS",
     "SvcParseError", "TASKS", "load_dataset", "parse_svc", "recording_path",
     "serialize_svc", "write_dataset",
     "FeatureVector", "extract_features", "first_difference", "level_to_force",

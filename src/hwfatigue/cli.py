@@ -113,6 +113,11 @@ def analyze_dataset(dataset: Dataset, feature: str = "saturation_ratio",
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Stale recordings left in the directory would merge into the next analyze.
+    outdir = Path(args.output)
+    if outdir.is_dir() and any(outdir.iterdir()):
+        print(f"error: {outdir}: output directory is not empty", file=sys.stderr)
+        return 1
     config = SynthConfig(
         n_subjects=args.subjects,
         samples_per_recording=args.samples,
@@ -120,7 +125,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         device=DeviceProfile(max_level=args.sat_level),
     )
     dataset = generate_dataset(config)
-    write_dataset(dataset, args.output)
+    write_dataset(dataset, outdir)
     print(_json_text(config.to_json_dict()), end="")
     return 0
 
@@ -179,9 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser(
         "synth", help="generate a synthetic dataset directory",
         epilog=_FORMAT_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p_synth.add_argument("--output", required=True, help="dataset directory to create")
+    p_synth.add_argument("--output", required=True,
+                         help="dataset directory to create; must be absent or empty")
     p_synth.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p_synth.add_argument("--subjects", type=_int_flag(high=MAX_SUBJECT_ID), default=21,
+    p_synth.add_argument("--subjects", type=_int_flag(low=1, high=MAX_SUBJECT_ID),
+                         default=21,
                          help="number of subjects, 1..99 (default 21)")
     p_synth.add_argument("--samples", type=_int_flag(low=1), default=2000,
                          help="samples per recording, at least 1 (default 2000)")

@@ -108,34 +108,6 @@ class DeviceProfile:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One digitizer event."""
-
-    x: int
-    y: int
-    timestamp: int
-    pen_status: PenStatus
-    azimuth: int
-    altitude: int
-    pressure: int
-
-    def __post_init__(self) -> None:
-        if self.pen_status not in (PenStatus.UP, PenStatus.DOWN):
-            raise ValueError(f"pen_status must be 0 or 1, got {self.pen_status}")
-        if self.pressure < 0:
-            raise ValueError(f"pressure must be non-negative, got {self.pressure}")
-
-    def to_row(self) -> tuple[int, ...]:
-        return (self.x, self.y, self.timestamp, int(self.pen_status),
-                self.azimuth, self.altitude, self.pressure)
-
-    @classmethod
-    def from_row(cls, row) -> "Sample":
-        x, y, ts, pen, az, alt, p = (int(v) for v in row)
-        return cls(x, y, ts, PenStatus(pen), az, alt, p)
-
-
-@dataclass(frozen=True)
 class Recording:
     """Ordered sample stream for one (subject, session, task) triple.
 
@@ -209,12 +181,6 @@ class Recording:
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.subject_id, self.session_id, self.task_id)
-
-    def sample(self, i: int) -> Sample:
-        return Sample.from_row(self.samples[i])
-
-    def to_samples(self) -> list[Sample]:
-        return [Sample.from_row(row) for row in self.samples]
 
 
 class Dataset:
@@ -402,18 +368,14 @@ def read_svc(path: Path | str, device: DeviceProfile = DeviceProfile()) -> np.nd
 
 
 def serialize_svc(samples) -> str:
-    """Render samples in canonical SVC text: count header, one
-    space-separated row per sample, LF line endings.
+    """Render an (N, 7) integer sample array in canonical SVC text: count
+    header, one space-separated row per sample, LF line endings.
 
-    Accepts an (N, 7) integer array or a sequence of :class:`Sample`.
     Canonical form round-trips bit-exactly through :func:`parse_svc`.
     """
-    if len(samples) and isinstance(samples[0], Sample):
-        arr = np.array([s.to_row() for s in samples], dtype=np.int64)
-    else:
-        arr = np.asarray(samples, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
-            raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
+    arr = np.asarray(samples, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
+        raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
     return f"{arr.shape[0]}\n" + (_ROW_FORMAT * arr.shape[0]) % tuple(arr.ravel().tolist())
 
 

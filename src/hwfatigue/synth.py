@@ -16,8 +16,11 @@ generator (10 rounds, as implemented by ``numpy.random.Philox``).  The
 
 so a recording depends only on the seed and its own identity: regenerating
 with more subjects, or regenerating one recording in isolation, is
-bit-identical.  Per recording the draw order is fixed: saturation uniforms,
-base pressures, x noise, y noise, azimuth noise, altitude noise.
+bit-identical.  Per recording the draw order is fixed: n saturation
+uniforms, then one (5, n) standard-normal block (base pressure, x, y,
+azimuth, altitude noise), scaled afterwards.  numpy's ``normal(loc, scale)``
+is ``loc + scale * standard_normal``: the same values as one ``normal`` call
+per channel.  ``generate_dataset`` works one session (9 recordings) at a time.
 
 Pressure model: each sample saturates (emits ``max_level``) with probability
 p_sat and otherwise draws round(N(600, 150)) clamped to [1, max_level - 1].
@@ -33,7 +36,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset, DeviceProfile, Recording, SESSIONS, TASKS
+from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
+                   COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS)
 
 _PRESSURE_MEAN = 600.0
 _PRESSURE_SD = 150.0
@@ -170,6 +174,53 @@ def _task_curve(task_id: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"task_id must be in 1..9, got {task_id}")
 
 
+def _draw_means(task_ids, n: int) -> np.ndarray:
+    """Mean of each scaled standard-normal row, shape (k, 5, n): base
+    pressure, x and y (the task's noiseless pen path), azimuth, altitude."""
+    t = np.linspace(0.0, 1.0, n)
+    means = np.empty((len(task_ids), 5, n))
+    means[:, 0], means[:, 3], means[:, 4] = _PRESSURE_MEAN, _AZIMUTH_BASE, _ALTITUDE_BASE
+    for i, task_id in enumerate(task_ids):
+        means[i, 1:3] = _COORD_SCALE * np.array(_task_curve(task_id, t))
+    means[:, 1:3] += np.array(_COORD_CENTER)[:, None]
+    return means
+
+
+# Scale of each standard-normal row (ordered as in _draw_means), and its lower clip bound.
+_NOISE_SD = np.array([_PRESSURE_SD, _COORD_NOISE_SD, _COORD_NOISE_SD,
+                      _AZIMUTH_SD, _ALTITUDE_SD])[:, None]
+_CLIP_LOW = np.array([1, -np.inf, -np.inf, 0, 300])[:, None]
+
+
+def _generate_samples(config: SynthConfig, subject_id: int, session_id: int,
+                      task_ids, means: np.ndarray) -> np.ndarray:
+    """Samples (k, n, 7) of one subject's ``task_ids`` recordings in one session,
+    given ``means = _draw_means(task_ids, n)``.  Each recording draws from its
+    own stream; the rest runs once per batch."""
+    k, n, max_level = len(task_ids), config.samples_per_recording, config.device.max_level
+    uniforms = np.empty((k, n))
+    values = np.empty((k, 5, n))
+    for i, task_id in enumerate(task_ids):
+        rng = np.random.Generator(np.random.Philox(
+            key=_stream_key(config.seed, subject_id, session_id, task_id)))
+        rng.random(out=uniforms[i])
+        rng.standard_normal(out=values[i])
+    p_sat = np.array([config.saturation_probability(session_id, t) for t in task_ids])
+
+    values *= _NOISE_SD
+    values += means
+    np.rint(values, out=values)
+    np.clip(values, _CLIP_LOW, np.array([max_level - 1, np.inf, np.inf, 3599, 900])[:, None],
+            out=values)
+
+    samples = np.empty((k, n, 7), dtype=np.int64)
+    samples[..., [COL_X, COL_Y, COL_AZIMUTH, COL_ALTITUDE]] = values[:, 1:].transpose(0, 2, 1)
+    samples[..., COL_TIMESTAMP] = np.arange(n) * _TIMESTAMP_STEP_MS
+    samples[..., COL_PEN_STATUS] = 1
+    samples[..., COL_PRESSURE] = np.where(uniforms < p_sat[:, None], max_level, values[:, 0])
+    return samples
+
+
 def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
                        task_id: int) -> Recording:
     """Generate one recording, deterministic in (seed, subject, session, task)."""
@@ -179,41 +230,19 @@ def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
         raise ValueError(f"session_id must be in 1..5, got {session_id}")
     if task_id not in TASKS:
         raise ValueError(f"task_id must be in 1..9, got {task_id}")
-
-    n = config.samples_per_recording
-    device = config.device
-    rng = np.random.Generator(np.random.Philox(
-        key=_stream_key(config.seed, subject_id, session_id, task_id)))
-
-    p_sat = config.saturation_probability(session_id, task_id)
-    saturated = rng.random(n) < p_sat
-    base = np.rint(rng.normal(_PRESSURE_MEAN, _PRESSURE_SD, n))
-    base = np.clip(base, 1, device.max_level - 1).astype(np.int64)
-    pressure = np.where(saturated, device.max_level, base)
-
-    t = np.linspace(0.0, 1.0, n)
-    cx, cy = _task_curve(task_id, t)
-    x = np.rint(_COORD_CENTER[0] + _COORD_SCALE * cx
-                + rng.normal(0.0, _COORD_NOISE_SD, n)).astype(np.int64)
-    y = np.rint(_COORD_CENTER[1] + _COORD_SCALE * cy
-                + rng.normal(0.0, _COORD_NOISE_SD, n)).astype(np.int64)
-
-    azimuth = np.clip(np.rint(_AZIMUTH_BASE + rng.normal(0.0, _AZIMUTH_SD, n)),
-                      0, 3599).astype(np.int64)
-    altitude = np.clip(np.rint(_ALTITUDE_BASE + rng.normal(0.0, _ALTITUDE_SD, n)),
-                       300, 900).astype(np.int64)
-    timestamps = np.arange(n, dtype=np.int64) * _TIMESTAMP_STEP_MS
-    pen_status = np.ones(n, dtype=np.int64)
-
-    samples = np.column_stack([x, y, timestamps, pen_status, azimuth, altitude, pressure])
-    return Recording(subject_id, session_id, task_id, samples, device)
+    means = _draw_means((task_id,), config.samples_per_recording)
+    samples = _generate_samples(config, subject_id, session_id, (task_id,), means)
+    return Recording(subject_id, session_id, task_id, samples[0], config.device)
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
-    """Generate the full n_subjects x 5 sessions x 9 tasks dataset."""
+    """Generate the full n_subjects x 5 sessions x 9 tasks dataset, one
+    session (nine recordings) at a time."""
+    means = _draw_means(TASKS, config.samples_per_recording)
     dataset = Dataset()
     for subject_id in range(1, config.n_subjects + 1):
         for session_id in SESSIONS:
-            for task_id in TASKS:
-                dataset.add(generate_recording(config, subject_id, session_id, task_id))
+            block = _generate_samples(config, subject_id, session_id, TASKS, means)
+            for task_id, samples in zip(TASKS, block):
+                dataset.add(Recording(subject_id, session_id, task_id, samples, config.device))
     return dataset

@@ -3,6 +3,9 @@
 Everything here deliberately avoids the library's own code paths: counting
 is plain Python loops, ranking is the O(n^2) definition, and the exact
 rank-sum tail probabilities come from enumerating every subset assignment.
+The reference synthetic generator shares only the stream key and the task
+curves with the library; it draws and shapes one recording at a time, with
+one ``normal`` call per channel.
 """
 
 from __future__ import annotations
@@ -10,6 +13,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from hwfatigue.data import SESSIONS, TASKS, Recording
+from hwfatigue.synth import (_ALTITUDE_BASE, _ALTITUDE_SD, _AZIMUTH_BASE, _AZIMUTH_SD,
+                             _COORD_CENTER, _COORD_NOISE_SD, _COORD_SCALE, _PRESSURE_MEAN,
+                             _PRESSURE_SD, _TIMESTAMP_STEP_MS, SynthConfig, _stream_key,
+                             _task_curve)
 
 _combo_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -166,3 +175,42 @@ def full_table_ranksum(a, b) -> tuple[float, float]:
     lower = int(counts[: w2 + 1].sum())
     upper = int(counts[w2:].sum())
     return min(1.0, 2.0 * min(lower, upper) / total), w2 / 2.0
+
+
+def generate_recording_reference(config: SynthConfig, subject_id: int, session_id: int,
+                                 task_id: int) -> Recording:
+    """Generate one recording, deterministic in (seed, subject, session, task)."""
+    if not 1 <= subject_id <= config.n_subjects:
+        raise ValueError(f"subject_id must be in 1..{config.n_subjects}, got {subject_id}")
+    if session_id not in SESSIONS:
+        raise ValueError(f"session_id must be in 1..5, got {session_id}")
+    if task_id not in TASKS:
+        raise ValueError(f"task_id must be in 1..9, got {task_id}")
+
+    n = config.samples_per_recording
+    device = config.device
+    rng = np.random.Generator(np.random.Philox(
+        key=_stream_key(config.seed, subject_id, session_id, task_id)))
+
+    p_sat = config.saturation_probability(session_id, task_id)
+    saturated = rng.random(n) < p_sat
+    base = np.rint(rng.normal(_PRESSURE_MEAN, _PRESSURE_SD, n))
+    base = np.clip(base, 1, device.max_level - 1).astype(np.int64)
+    pressure = np.where(saturated, device.max_level, base)
+
+    t = np.linspace(0.0, 1.0, n)
+    cx, cy = _task_curve(task_id, t)
+    x = np.rint(_COORD_CENTER[0] + _COORD_SCALE * cx
+                + rng.normal(0.0, _COORD_NOISE_SD, n)).astype(np.int64)
+    y = np.rint(_COORD_CENTER[1] + _COORD_SCALE * cy
+                + rng.normal(0.0, _COORD_NOISE_SD, n)).astype(np.int64)
+
+    azimuth = np.clip(np.rint(_AZIMUTH_BASE + rng.normal(0.0, _AZIMUTH_SD, n)),
+                      0, 3599).astype(np.int64)
+    altitude = np.clip(np.rint(_ALTITUDE_BASE + rng.normal(0.0, _ALTITUDE_SD, n)),
+                       300, 900).astype(np.int64)
+    timestamps = np.arange(n, dtype=np.int64) * _TIMESTAMP_STEP_MS
+    pen_status = np.ones(n, dtype=np.int64)
+
+    samples = np.column_stack([x, y, timestamps, pen_status, azimuth, altitude, pressure])
+    return Recording(subject_id, session_id, task_id, samples, device)

@@ -66,13 +66,34 @@ class TestSynthCommand:
         assert all(len(line.split()) == 7 for line in lines[1:])
 
     def test_invalid_config_reports_error(self, tmp_path, capsys):
-        code, _, stderr = run_cli(
-            capsys, "synth", "--output", str(tmp_path / "x"), "--subjects", "0")
+        out = tmp_path / "x"
+        code, _, stderr = run_cli(capsys, "synth", "--output", str(out), "--sat-level", "0")
         assert code == 1
         assert stderr.startswith("error:")
+        assert not out.exists()
+
+    def test_non_empty_output_refused(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        stale = out / "subject07" / "session1" / "task1.svc"
+        stale.parent.mkdir(parents=True)
+        stale.write_text("1\n0 0 0 1 0 0 5\n")
+        before = read_tree(out)
+        code, stdout, stderr = run_cli(capsys, *synth_args(out))
+        assert code == 1
+        assert stderr == f"error: {out}: output directory is not empty\n"
+        assert stdout == ""
+        assert read_tree(out) == before
+
+    def test_empty_output_directory_accepted(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        out.mkdir()
+        code, _, _ = run_cli(capsys, *synth_args(out))
+        assert code == 0
+        assert len(list(out.rglob("*.svc"))) == 2 * 5 * 9
 
     @pytest.mark.parametrize("flag, value", [
         ("--subjects", "100"), ("--subjects", "120"), ("--subjects", "x"),
+        ("--subjects", "0"), ("--subjects", "-3"),
         ("--samples", "0"), ("--samples", "-5"),
     ])
     def test_invalid_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):

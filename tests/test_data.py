@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, PenStatus,
-                            Recording, Sample, SvcParseError, load_dataset,
-                            parse_svc, recording_path, serialize_svc,
-                            write_dataset)
+from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
+                            SvcParseError, load_dataset, parse_svc,
+                            recording_path, serialize_svc, write_dataset)
 from hwfatigue.synth import SynthConfig, generate_dataset
 
 VALID_TEXT = "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023\n"
@@ -227,10 +226,6 @@ class TestSerializeSvc:
         samples = parse_svc(VALID_TEXT)
         assert serialize_svc(samples) == VALID_TEXT
 
-    def test_sample_objects(self):
-        samples = [Sample(10, 20, 0, PenStatus.DOWN, 0, 0, 500)]
-        assert serialize_svc(samples) == "1\n10 20 0 1 0 0 500\n"
-
     @settings(max_examples=50)
     @given(st.lists(st.tuples(
         st.integers(-30000, 30000), st.integers(-30000, 30000),
@@ -243,23 +238,6 @@ class TestSerializeSvc:
 
 
 class TestSampleAndDevice:
-    def test_pen_status_mapping(self):
-        s = Sample.from_row([1, 2, 3, 0, 4, 5, 6])
-        assert s.pen_status is PenStatus.UP
-        assert Sample.from_row([1, 2, 3, 1, 4, 5, 6]).pen_status is PenStatus.DOWN
-
-    def test_row_round_trip(self):
-        row = (10, 20, 0, 1, 30, 40, 500)
-        assert Sample.from_row(row).to_row() == row
-
-    def test_invalid_pen_status(self):
-        with pytest.raises(ValueError):
-            Sample(1, 2, 3, 5, 4, 5, 6)
-
-    def test_negative_pressure(self):
-        with pytest.raises(ValueError):
-            Sample(1, 2, 3, PenStatus.DOWN, 4, 5, -1)
-
     def test_device_validation(self):
         with pytest.raises(ValueError):
             DeviceProfile(max_level=0)
@@ -273,7 +251,6 @@ class TestRecording:
         assert rec.n_samples == 3
         assert rec.pressure.tolist() == [100, 200, 300]
         assert rec.timestamp.tolist() == [0, 10, 20]
-        assert rec.sample(1).pressure == 200
 
     def test_samples_are_immutable(self):
         rec = make_recording()

@@ -61,6 +61,14 @@ class TestMidranks:
             expected = np.array(doubled_midranks(values)) / 2.0
             assert np.array_equal(midranks(values), expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 5), min_size=1, max_size=200),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=200)))
+    def test_matches_scipy_rankdata(self, values):
+        stats = pytest.importorskip("scipy.stats")
+        assert np.array_equal(midranks(values), stats.rankdata(values, method="average"))
+
 
 class TestExact:
     def test_three_vs_three_extreme(self):
@@ -126,6 +134,17 @@ class TestExact:
 
 
 class TestNormalApprox:
+    @settings(max_examples=300, deadline=None)
+    @given(pooled_samples().filter(lambda ab: len(set(ab[0] + ab[1])) > 1))
+    @example(([0, 0, 0, 1, 1], [0, 1, 1, 1, 1]))
+    @example((list(range(40)), list(range(40, 100))))
+    def test_matches_scipy_asymptotic_with_ties(self, samples):
+        stats = pytest.importorskip("scipy.stats")
+        a, b = samples
+        want = stats.mannwhitneyu(a, b, method="asymptotic", use_continuity=True,
+                                  alternative="two-sided").pvalue
+        assert ranksum_normal(a, b).p_value == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_centered_statistic_has_p_one(self):
         # symmetric arrangement: W equals its null mean
         r = ranksum_normal([1, 4], [2, 3])

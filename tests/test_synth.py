@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwfatigue.data import DeviceProfile
 from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording
+from oracles import generate_recording_reference
 
 
 class TestSynthConfig:
@@ -166,6 +169,50 @@ class TestGenerateRecording:
                         int(rec.y.min()), int(rec.y.max())))
         # coarse check: bounding boxes do not all coincide
         assert len(shapes) >= 5
+
+
+def _capped_multiplier(base: float, mult: float) -> float:
+    """``mult`` lowered until ``base * mult`` is at most 1, as SynthConfig requires."""
+    if base:
+        mult = min(mult, 1.0 / base)
+        while base * mult > 1.0:
+            mult = float(np.nextafter(mult, 0.0))
+    return mult
+
+
+class TestAgainstReference:
+    """The session-batched kernel against the one-recording-at-a-time
+    generator in ``oracles``: recordings must be equal value for value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           n=st.integers(1, 300),
+           rates=st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(1.0, 8.0)),
+                          min_size=9, max_size=9),
+           max_level=st.integers(2, 2048),
+           key=st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 9)))
+    def test_recording_equals_reference(self, seed, n, rates, max_level, key):
+        config = SynthConfig(
+            n_subjects=3, samples_per_recording=n, seed=seed,
+            base_saturation={t: base for t, (base, _) in enumerate(rates, start=1)},
+            fatigue_multiplier={t: _capped_multiplier(base, mult)
+                                for t, (base, mult) in enumerate(rates, start=1)},
+            device=DeviceProfile(max_level=max_level))
+        got = generate_recording(config, *key)
+        want = generate_recording_reference(config, *key)
+        assert got.samples.dtype == want.samples.dtype
+        assert np.array_equal(got.samples, want.samples)
+
+    def test_dataset_recordings_equal_single_recordings(self):
+        config = SynthConfig(n_subjects=3, samples_per_recording=150, seed=31,
+                             base_saturation=0.1, fatigue_multiplier=4.0)
+        dataset = generate_dataset(config)
+        assert len(dataset) == 3 * 5 * 9
+        for rec in dataset:
+            single = generate_recording(config, *rec.key)
+            assert np.array_equal(rec.samples, single.samples)
+            assert np.array_equal(rec.samples,
+                                  generate_recording_reference(config, *rec.key).samples)
 
 
 class TestGenerateDataset:
