@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import (MAX_SUBJECT_ID, Dataset, DeviceProfile, load_dataset, read_svc,
-                   write_dataset, Recording, TASKS)
+                   write_dataset, Recording)
 from .features import extract_features
 from .report import (FEATURES, aggregate, render_fig_data_csv, render_table1_csv,
-                     render_table1_json, render_table2_csv, render_table2_json)
+                     render_table1_json, render_table2_csv, render_table2_json,
+                     significant_labels)
 from .stats import DEFAULT_EXACT_THRESHOLD, TestResult, pairwise_session_tests
 from .synth import SynthConfig, generate_dataset
 
@@ -93,28 +94,38 @@ def analyze_dataset(dataset: Dataset, feature: str = "saturation_ratio",
     tested_grid = grid_sat if feature == "saturation_ratio" else grid_mp
     results = pairwise_session_tests(tested_grid.values_by_cell(),
                                      exact_threshold=exact_threshold)
+    table2 = render_table2_json(results, alpha=alpha)
     outputs = {
         "table1.csv": render_table1_csv(grid_mp),
         "table1.json": _json_text(render_table1_json(grid_mp)),
         "table2.csv": render_table2_csv(results, alpha=alpha),
-        "table2.json": _json_text(render_table2_json(results, alpha=alpha)),
+        "table2.json": _json_text(table2),
         "fig4_data.csv": render_fig_data_csv(grid_sat),
         "fig5_data.csv": render_fig_data_csv(grid_mp),
     }
     summary = []
-    for task in TASKS:
-        flagged = [r.pair_label for r in results
-                   if r.task_id == task and r.p_value < alpha]
+    for row in table2["rows"]:
+        flagged = significant_labels(row)
         if flagged:
-            summary.append(f"task {task}: significant (p < {alpha:g}): {', '.join(flagged)}")
+            summary.append(f"task {row['task']}: significant (p < {alpha:g}): "
+                           f"{', '.join(flagged)}")
         else:
-            summary.append(f"task {task}: no significant pairs at alpha={alpha:g}")
+            summary.append(f"task {row['task']}: no significant pairs at alpha={alpha:g}")
     return outputs, results, summary
+
+
+def _check_output_dir(outdir: Path) -> None:
+    """Refuse, before any work, an output directory that cannot be created
+    because ``outdir`` or its nearest existing ancestor is not a directory."""
+    existing = next((p for p in (outdir, *outdir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise NotADirectoryError(f"{existing}: not a directory")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     # Stale recordings left in the directory would merge into the next analyze.
     outdir = Path(args.output)
+    _check_output_dir(outdir)
     if outdir.is_dir() and any(outdir.iterdir()):
         print(f"error: {outdir}: output directory is not empty", file=sys.stderr)
         return 1
@@ -131,6 +142,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    outdir = Path(args.output)
+    _check_output_dir(outdir)
     dataset = load_dataset(args.input, DeviceProfile(max_level=args.sat_level))
     if len(dataset) == 0:
         print(f"error: no recordings found under {args.input}", file=sys.stderr)
@@ -141,7 +154,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if results and max(r.n_a for r in results) < 2:
         print("warning: fewer than 2 subjects per cell, p-values are degenerate",
               file=sys.stderr)
-    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
         (outdir / name).write_text(text, newline="\n")
@@ -181,9 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser(
-        "synth", help="generate a synthetic dataset directory",
-        epilog=_FORMAT_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
+    def command(name: str, summary: str, func) -> argparse.ArgumentParser:
+        """A subcommand with the format reference and the device ceiling flag."""
+        p = sub.add_parser(name, help=summary, epilog=_FORMAT_HELP,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.add_argument("--sat-level", type=int, default=1023,
+                       help="device max pressure level (default 1023)")
+        p.set_defaults(func=func)
+        return p
+
+    p_synth = command("synth", "generate a synthetic dataset directory", cmd_synth)
     p_synth.add_argument("--output", required=True,
                          help="dataset directory to create; must be absent or empty")
     p_synth.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
@@ -192,17 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of subjects, 1..99 (default 21)")
     p_synth.add_argument("--samples", type=_int_flag(low=1), default=2000,
                          help="samples per recording, at least 1 (default 2000)")
-    p_synth.add_argument("--sat-level", type=int, default=1023,
-                         help="device max pressure level (default 1023)")
-    p_synth.set_defaults(func=cmd_synth)
 
-    p_analyze = sub.add_parser(
-        "analyze", help="run the analysis pipeline over a dataset directory",
-        epilog=_FORMAT_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_analyze = command("analyze", "run the analysis pipeline over a dataset directory",
+                        cmd_analyze)
     p_analyze.add_argument("--input", required=True, help="dataset root directory")
     p_analyze.add_argument("--output", required=True, help="directory for result files")
-    p_analyze.add_argument("--sat-level", type=int, default=1023,
-                           help="saturation level / device max (default 1023)")
     p_analyze.add_argument("--alpha", type=_probability, default=0.05,
                            help="significance threshold, in (0, 1) (default 0.05)")
     p_analyze.add_argument("--exact-threshold", type=_int_flag(low=0),
@@ -212,17 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "approximation (default 25)")
     p_analyze.add_argument("--feature", choices=FEATURES, default="saturation_ratio",
                            help="feature the session comparisons run on")
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_features = sub.add_parser(
-        "features", help="print the feature vector of one SVC file",
-        epilog=_FORMAT_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_features = command("features", "print the feature vector of one SVC file",
+                         cmd_features)
     p_features.add_argument("--input", required=True, help="SVC file path")
-    p_features.add_argument("--sat-level", type=int, default=1023,
-                            help="device max pressure level (default 1023)")
     p_features.add_argument("--pen-down-only", action="store_true",
                             help="restrict features to pen-down samples")
-    p_features.set_defaults(func=cmd_features)
     return parser
 
 

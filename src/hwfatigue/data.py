@@ -216,9 +216,6 @@ class Dataset:
         for key in self.keys():
             yield self._recordings[key]
 
-    def __contains__(self, key: tuple[int, int, int]) -> bool:
-        return key in self._recordings
-
 
 def _invalid_sample(samples: np.ndarray, max_level: int) -> tuple[int, str] | None:
     """Row index and description of the first sample of an (N, 7) array whose

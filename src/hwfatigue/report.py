@@ -10,11 +10,11 @@ grid, then renders three artifacts:
 * figure data - long-form (task, session, mean, std, n) rows, one per cell,
   plus the mean's ratio against session 1 of the same task.
 
-CSV output is RFC-4180 style with a header row and LF endings; table1 cells
-are rounded to integers and table2 cells to three decimals for display.
-The JSON renderings carry full precision and a ``schema_version`` field.
-Renderers never aggregate on their own: every number they emit is
-recomputable from the ``values`` list of the underlying cell.
+Each ``render_*_json`` document alone decides what its artifact holds, at
+full precision with a ``schema_version`` field; the CSV renderer builds it
+and only formats its rows (RFC-4180, LF endings; table1 rounded to integers,
+table2 to three decimals).  Every number is recomputable from the ``values``
+list of the underlying cell.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _fmt_full(value: float | None) -> str:
+def _fmt_full(value: int | float | None) -> str:
     return "" if value is None else repr(value)
 
 
@@ -121,12 +121,9 @@ def render_table1_csv(grid: FeatureGrid) -> str:
     subjects is left empty.
     """
     rows = [["session"] + [f"T{t}" for t in TASKS]]
-    for session in SESSIONS:
-        row = [str(session)]
-        for task in TASKS:
-            std = grid.cell(task, session).std
-            row.append("" if std is None else str(round(std)))
-        rows.append(row)
+    for row in render_table1_json(grid)["rows"]:
+        rows.append([str(row["session"])] + ["" if std is None else str(round(std))
+                                             for std in row["std"].values()])
     return _csv_text(rows)
 
 
@@ -146,8 +143,11 @@ def render_table1_json(grid: FeatureGrid) -> dict:
     }
 
 
-def _pair_labels() -> list[str]:
-    return [f"S{a}-S{b}" for a, b in SESSION_PAIRS]
+def significant_labels(row: dict) -> list[str]:
+    """Pair labels of a table2 document row whose cells are flagged
+    significant, in :data:`SESSION_PAIRS` order."""
+    return [label for label, cell in row["cells"].items()
+            if cell is not None and cell["significant"]]
 
 
 def render_table2_csv(results: list[TestResult], alpha: float = 0.05) -> str:
@@ -157,35 +157,25 @@ def render_table2_csv(results: list[TestResult], alpha: float = 0.05) -> str:
     column lists the pair labels with p below ``alpha``.  Pairs without a
     result are left empty.
     """
-    by_cell = {(r.task_id, r.session_a, r.session_b): r for r in results}
-    rows = [["task"] + _pair_labels() + ["significant"]]
-    for task in TASKS:
-        row = [str(task)]
-        flagged = []
-        for a, b in SESSION_PAIRS:
-            r = by_cell.get((task, a, b))
-            if r is None:
-                row.append("")
-                continue
-            row.append(f"{r.p_value:.3f}")
-            if r.p_value < alpha:
-                flagged.append(r.pair_label)
-        row.append(";".join(flagged))
-        rows.append(row)
+    doc = render_table2_json(results, alpha=alpha)
+    rows = [["task"] + doc["pairs"] + ["significant"]]
+    for row in doc["rows"]:
+        rows.append([str(row["task"])]
+                    + ["" if cell is None else f"{cell['p_value']:.3f}"
+                       for cell in row["cells"].values()]
+                    + [";".join(significant_labels(row))])
     return _csv_text(rows)
 
 
 def render_table2_json(results: list[TestResult], alpha: float = 0.05) -> dict:
     by_cell = {(r.task_id, r.session_a, r.session_b): r for r in results}
+    labels = [f"S{a}-S{b}" for a, b in SESSION_PAIRS]
     out_rows = []
     for task in TASKS:
         cells = {}
-        for a, b in SESSION_PAIRS:
+        for label, (a, b) in zip(labels, SESSION_PAIRS):
             r = by_cell.get((task, a, b))
-            if r is None:
-                cells[f"S{a}-S{b}"] = None
-                continue
-            cells[f"S{a}-S{b}"] = {
+            cells[label] = None if r is None else {
                 "p_value": r.p_value,
                 "significant": r.p_value < alpha,
                 "rank_sum": r.rank_sum,
@@ -198,7 +188,7 @@ def render_table2_json(results: list[TestResult], alpha: float = 0.05) -> dict:
         "schema_version": SCHEMA_VERSION,
         "artifact": "table2",
         "alpha": alpha,
-        "pairs": _pair_labels(),
+        "pairs": labels,
         "rows": out_rows,
     }
 
@@ -211,21 +201,17 @@ def _ratio_vs_s1(grid: FeatureGrid, task: int, session: int) -> float | None:
     return mean / baseline
 
 
+_FIG_COLUMNS = ("task", "session", "mean", "std", "n", "ratio_vs_s1")
+
+
 def render_fig_data_csv(grid: FeatureGrid) -> str:
     """Long-form plot data: 45 rows (task-major), full-precision floats.
 
     ``ratio_vs_s1`` compares each session's mean against session 1 of the
     same task, the quickest way to spot a fatigue-session increase.
     """
-    rows = [["task", "session", "mean", "std", "n", "ratio_vs_s1"]]
-    for task in TASKS:
-        for session in SESSIONS:
-            cell = grid.cell(task, session)
-            rows.append([
-                str(task), str(session),
-                _fmt_full(cell.mean), _fmt_full(cell.std), str(cell.n),
-                _fmt_full(_ratio_vs_s1(grid, task, session)),
-            ])
+    rows = [_FIG_COLUMNS] + [[_fmt_full(entry[column]) for column in _FIG_COLUMNS]
+                             for entry in render_fig_data_json(grid)["rows"]]
     return _csv_text(rows)
 
 

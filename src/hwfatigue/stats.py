@@ -60,7 +60,7 @@ class RankSumResult:
 
 
 @dataclass(frozen=True)
-class TestResult:
+class TestResult(RankSumResult):
     """A rank-sum comparison of one session pair within one task."""
 
     __test__ = False  # keep pytest from collecting this despite the name
@@ -68,15 +68,6 @@ class TestResult:
     task_id: int
     session_a: int
     session_b: int
-    rank_sum: float
-    p_value: float
-    method: Method
-    n_a: int
-    n_b: int
-
-    @property
-    def pair_label(self) -> str:
-        return f"S{self.session_a}-S{self.session_b}"
 
 
 def midranks(values) -> np.ndarray:
@@ -190,8 +181,7 @@ def ranksum_normal(a, b) -> RankSumResult:
 def ranksum(a, b, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> RankSumResult:
     """Two-sided rank-sum test, exact for pooled sizes up to
     ``min(exact_threshold, 64)`` and normal-approximated above."""
-    a, b = _validate_two_samples(a, b)
-    if a.size + b.size <= min(exact_threshold, _EXACT_HARD_LIMIT):
+    if np.size(a) + np.size(b) <= min(exact_threshold, _EXACT_HARD_LIMIT):
         return ranksum_exact(a, b)
     return ranksum_normal(a, b)
 
@@ -223,8 +213,6 @@ def pairwise_session_tests(
                     stacklevel=2)
                 continue
             r = ranksum(va, vb, exact_threshold=exact_threshold)
-            results.append(TestResult(
-                task_id=task, session_a=session_a, session_b=session_b,
-                rank_sum=r.rank_sum, p_value=r.p_value, method=r.method,
-                n_a=r.n_a, n_b=r.n_b))
+            results.append(TestResult(task_id=task, session_a=session_a,
+                                      session_b=session_b, **vars(r)))
     return results

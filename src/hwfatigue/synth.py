@@ -226,10 +226,6 @@ def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
     """Generate one recording, deterministic in (seed, subject, session, task)."""
     if not 1 <= subject_id <= config.n_subjects:
         raise ValueError(f"subject_id must be in 1..{config.n_subjects}, got {subject_id}")
-    if session_id not in SESSIONS:
-        raise ValueError(f"session_id must be in 1..5, got {session_id}")
-    if task_id not in TASKS:
-        raise ValueError(f"task_id must be in 1..9, got {task_id}")
     means = _draw_means((task_id,), config.samples_per_recording)
     samples = _generate_samples(config, subject_id, session_id, (task_id,), means)
     return Recording(subject_id, session_id, task_id, samples[0], config.device)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hwfatigue import cli
 from hwfatigue.cli import ANALYZE_OUTPUTS, build_parser, main
 from hwfatigue.data import Dataset, write_dataset
 from hwfatigue.synth import SynthConfig, generate_dataset
@@ -84,6 +85,18 @@ class TestSynthCommand:
         assert stdout == ""
         assert read_tree(out) == before
 
+    @pytest.mark.parametrize("output", ["taken", "taken/ds"])
+    def test_output_under_a_file_refused_before_work(self, tmp_path, capsys,
+                                                     monkeypatch, output):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        monkeypatch.setattr(cli, "generate_dataset", pytest.fail)
+        code, stdout, stderr = run_cli(capsys, *synth_args(tmp_path / output))
+        assert code == 1
+        assert stderr == f"error: {taken}: not a directory\n"
+        assert stdout == ""
+        assert read_tree(tmp_path) == {"taken": b"keep\n"}
+
     def test_empty_output_directory_accepted(self, tmp_path, capsys):
         out = tmp_path / "ds"
         out.mkdir()
@@ -155,6 +168,20 @@ class TestAnalyzeCommand:
         assert code == 1
         assert stderr.startswith("error:")
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("output", ["taken", "taken/res"])
+    def test_output_under_a_file_refused_before_work(self, dataset_dir, tmp_path, capsys,
+                                                     monkeypatch, output):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        monkeypatch.setattr(cli, "load_dataset", pytest.fail)
+        code, stdout, stderr = run_cli(capsys, "analyze", "--input", str(dataset_dir),
+                                       "--output", str(tmp_path / output))
+        assert code == 1
+        assert stderr == f"error: {taken}: not a directory\n"
+        assert stdout == ""
+        assert taken.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "taken"]
 
     def test_empty_input_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -2,12 +2,12 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
-                            SvcParseError, load_dataset, parse_svc,
+                            SvcParseError, load_dataset, parse_svc, read_svc,
                             recording_path, serialize_svc, write_dataset)
 from hwfatigue.synth import SynthConfig, generate_dataset
 
@@ -219,6 +219,45 @@ class TestParseSvcAgainstReference:
             got = parse_svc(text)
             assert got.dtype == np.int64
             assert np.array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 7))
+
+
+@st.composite
+def svc_bytes(draw):
+    """Arbitrary bytes, or a near-valid SVC text with a few byte runs
+    overwritten, inserted or cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    data = bytearray(draw(svc_texts()).encode("utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        data[start:start + draw(st.integers(0, 3))] = draw(st.binary(max_size=3))
+    return bytes(data)
+
+
+class TestIngestArbitraryBytes:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=svc_bytes())
+    def test_array_or_error_naming_the_file(self, tmp_path, content):
+        path = tmp_path / "subject01" / "session1" / "task1.svc"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(content)
+        try:
+            samples = read_svc(path)
+        except SvcParseError as err:
+            assert err.path == str(path)
+            with pytest.raises(SvcParseError) as exc:
+                load_dataset(tmp_path)
+            assert exc.value.path == str(path)
+            return
+        assert samples.dtype == np.int64 and samples.shape == (len(samples), 7)
+        try:
+            dataset = load_dataset(tmp_path)
+        except DatasetError as err:
+            assert str(err).startswith(f"{path}: ")
+        else:
+            assert dataset.keys() == [(1, 1, 1)]
+            assert np.array_equal(dataset.get(1, 1, 1).samples, samples)
 
 
 class TestSerializeSvc:

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
 
+from hwfatigue.cli import analyze_dataset
 from hwfatigue.data import Dataset
 from hwfatigue.report import (FeatureGrid, SessionTaskSummary, aggregate,
                               recording_feature, render_fig_data_csv,
@@ -281,3 +283,46 @@ class TestCsvConventions:
         for text in (render_table1_csv(grid), render_fig_data_csv(grid)):
             assert "\r" not in text
             assert text.endswith("\n")
+
+
+class TestPinnedArtifacts:
+    """Pinned sha256 of the six artifacts, and the summary lines, of a sparse
+    campaign: subject 3 skipped session 4, only subject 1 did task 2 in
+    session 3 (empty std) and nobody did task 6 in session 1 (skipped pairs,
+    no mean, no ratio).  alpha = 0.25 so that pairs are flagged."""
+
+    DIGESTS = {
+        "fig4_data.csv": "1569473eafd8a69427d5bb9906f3e4a6cc5d92d66251c79e3fc38fd2960de6cf",
+        "fig5_data.csv": "d53d73a6be40f2085a841bccf505d7c8b4306be16f9e860b49b0563b42e1a891",
+        "table1.csv": "2fd723720a7946c7081726487db79e0ff38c8c01697949cbcb855ef8f7fe1aea",
+        "table1.json": "c15858033019a5e952d5f6436e400e4c70d7db6388bbc57e5a5bad89b9194a3c",
+        "table2.csv": "62ce1c7a11c449fc3785d5cf5117528fe1ca259f9693f2ee684fe702456babef",
+        "table2.json": "d4f524c4fb7e5f4e3704f29e85c394407f71a4963eae2ddf85c9b6af9f19d62a",
+    }
+    SUMMARY = [
+        "task 1: significant (p < 0.25): S1-S4, S1-S5, S2-S4, S2-S5, S3-S4, S3-S5",
+        "task 2: significant (p < 0.25): S1-S4, S1-S5, S2-S4, S2-S5",
+        "task 3: significant (p < 0.25): S1-S4, S1-S5, S2-S4, S2-S5, S3-S4, S3-S5, S4-S5",
+        "task 4: no significant pairs at alpha=0.25",
+        "task 5: significant (p < 0.25): S1-S4, S1-S5, S2-S4, S2-S5, S3-S4, S3-S5, S4-S5",
+        "task 6: significant (p < 0.25): S2-S4, S4-S5",
+        "task 7: significant (p < 0.25): S1-S4, S2-S4",
+        "task 8: no significant pairs at alpha=0.25",
+        "task 9: no significant pairs at alpha=0.25",
+    ]
+
+    @staticmethod
+    def kept(r):
+        return not ((r.subject_id, r.session_id) == (3, 4)
+                    or (r.task_id, r.session_id) == (2, 3) and r.subject_id != 1
+                    or (r.task_id, r.session_id) == (6, 1))
+
+    def test_sparse_campaign_digests(self):
+        full = small_dataset(n_subjects=3, samples=120, seed=13)
+        dataset = Dataset(r for r in full if self.kept(r))
+        with pytest.warns(UserWarning, match="task 6: skipping S1-"):
+            outputs, results, summary = analyze_dataset(dataset, alpha=0.25)
+        assert len(dataset) == 121 and len(results) == 86
+        assert {name: hashlib.sha256(text.encode()).hexdigest()
+                for name, text in outputs.items()} == self.DIGESTS
+        assert summary == self.SUMMARY

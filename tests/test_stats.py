@@ -258,13 +258,6 @@ class TestPairwiseSessionTests:
             assert r.task_id == task
             assert (r.session_a, r.session_b) == pair
 
-    def test_pair_label(self):
-        cells = self.full_grid(np.random.default_rng(31), tasks=[4])
-        results = pairwise_session_tests(cells)
-        assert [r.pair_label for r in results] == [
-            "S1-S2", "S1-S3", "S1-S4", "S1-S5", "S2-S3",
-            "S2-S4", "S2-S5", "S3-S4", "S3-S5", "S4-S5"]
-
     def test_missing_session_skipped_with_warning(self):
         cells = self.full_grid(np.random.default_rng(32), tasks=[2],
                                sessions=[1, 2, 3, 5])
