@@ -20,17 +20,32 @@ A dataset directory groups recordings as::
 
 with NN zero-padded to two digits (01..99), S in 1..5 and T in 1..9.
 Missing files are legal; entries that do not match the layout are ignored.
+
+:func:`write_dataset` and :func:`load_dataset` treat each session directory
+(at most nine files) as one unit of work and spread the units over one
+process per CPU in this process's affinity set; there is no flag.  The
+calling process works through its own share while forked children work
+through theirs, so the written bytes, the returned paths or dataset and
+any error raised are the same whatever the process count.  A fault is
+reported as a one-process walk would report it: the first faulty file in
+walk order.  Python 3.12 and later warn (``DeprecationWarning``) when a
+multi-threaded process forks, and importing numpy leaves its OpenBLAS
+threads running; the children only parse, format and do file I/O, and
+leave through ``os._exit``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import io
+import itertools
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -145,6 +160,11 @@ class Recording:
                              "timestamps must be non-decreasing")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    def __reduce__(self):
+        # Unpickling goes through the constructor, which checks and freezes
+        # the array again (pickle would otherwise restore a writable one).
+        return Recording, (*self.key, self.samples, self.device)
 
     @property
     def n_samples(self) -> int:
@@ -386,12 +406,22 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
     Walks the ``subject<NN>/session<S>/task<T>.svc`` layout; entries that do
     not match it are ignored, missing cells are legal.  A malformed file
     aborts the whole load with a :class:`SvcParseError` or
-    :class:`DatasetError` naming its path.
+    :class:`DatasetError` naming its path; with several malformed files it
+    is the first in walk order.  Session directories are read in parallel
+    (see the module docstring).
     """
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root is not a directory: {root}")
-    dataset = Dataset()
+    sessions = _fan_out(functools.partial(_read_session, device=device),
+                        _session_files(root))
+    return Dataset(recording for session in sessions for recording in session)
+
+
+def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
+    """The layout's ``(key, path)`` pairs under ``root`` in walk order,
+    one list per session directory that holds any."""
+    sessions = []
     for subject_dir in sorted(root.iterdir()):
         m = _SUBJECT_DIR_RE.fullmatch(subject_dir.name)
         if m is None or not subject_dir.is_dir():
@@ -402,34 +432,126 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
             if m is None or not session_dir.is_dir():
                 continue
             session_id = int(m.group(1))
+            files = []
             for task_file in sorted(session_dir.iterdir()):
                 m = _TASK_FILE_RE.fullmatch(task_file.name)
-                if m is None or not task_file.is_file():
-                    continue
-                task_id = int(m.group(1))
-                samples = read_svc(task_file, device)
-                try:
-                    recording = Recording(subject_id, session_id, task_id, samples, device)
-                except ValueError as err:
-                    raise DatasetError(f"{task_file}: {err}") from err
-                dataset.add(recording)
-    return dataset
+                if m is not None and task_file.is_file():
+                    files.append(((subject_id, session_id, int(m.group(1))), task_file))
+            if files:
+                sessions.append(files)
+    return sessions
+
+
+def _read_session(files: list[tuple[tuple[int, int, int], Path]],
+                  device: DeviceProfile) -> list[Recording]:
+    recordings = []
+    for key, path in files:
+        samples = read_svc(path, device)
+        try:
+            recordings.append(Recording(*key, samples, device))
+        except ValueError as err:
+            raise DatasetError(f"{path}: {err}") from err
+    return recordings
 
 
 def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:
     """Serialize every recording into the directory layout under ``root``.
 
-    Returns the written paths.  Subject ids above :data:`MAX_SUBJECT_ID` do
-    not fit the two-digit layout and are rejected.
+    Returns the written paths in key order.  Subject ids above
+    :data:`MAX_SUBJECT_ID` do not fit the two-digit layout and are rejected
+    before anything is written.  Session directories are written in
+    parallel (see the module docstring).
     """
     root = Path(root)
-    written = []
-    for recording in dataset:
-        if recording.subject_id > MAX_SUBJECT_ID:
-            raise DatasetError(
-                f"subject_id {recording.subject_id} does not fit the subject<NN> layout")
-        path = recording_path(root, *recording.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    too_large = next((s for s in dataset.subjects() if s > MAX_SUBJECT_ID), None)
+    if too_large is not None:
+        raise DatasetError(f"subject_id {too_large} does not fit the subject<NN> layout")
+    sessions = [list(group) for _, group in itertools.groupby(dataset, lambda r: r.key[:2])]
+    written = _fan_out(functools.partial(_write_session, root=root), sessions)
+    return [path for paths in written for path in paths]
+
+
+def _write_session(recordings: list[Recording], root: Path) -> list[Path]:
+    paths = [recording_path(root, *recording.key) for recording in recordings]
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    for recording, path in zip(recordings, paths):
         path.write_text(serialize_svc(recording.samples), newline="\n")
-        written.append(path)
-    return written
+    return paths
+
+
+def _process_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fan_out(fn: Callable, chunks: Sequence) -> list:
+    """``[fn(chunk) for chunk in chunks]``, spread over one process per CPU.
+
+    Chunk ``i`` runs in process ``i % n``, ``n = min(CPUs, len(chunks))``.
+    The calling process runs share 0 itself and ``n - 1`` forked children
+    run the others, so no more processes are busy than there are CPUs.
+    ``fn`` and the chunks reach the children through fork and are never
+    pickled.  Each child keeps its results until its share is done, then
+    sends one message per chunk, so the caller unpickles one chunk's result
+    at a time.  Every process stops at its first failing chunk; once all
+    outcomes are in and every child is reaped, the failure of the earliest
+    chunk is raised, which is the one ``n = 1`` (run inline) would raise.
+    """
+    n = min(_process_count(), len(chunks))
+    if n <= 1:
+        return [fn(chunk) for chunk in chunks]
+    import multiprocessing  # here, not at the top: importing the CLI stays lean
+
+    context = multiprocessing.get_context("fork")
+    workers = []
+    results = [None] * len(chunks)
+    failures: dict[int, Exception] = {}  # chunk index -> its error
+    try:
+        for k in range(1, n):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_run_share, args=(fn, chunks[k::n], sender),
+                                     daemon=True)
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        for i in range(0, len(chunks), n):
+            try:
+                results[i] = fn(chunks[i])
+            except Exception as err:
+                failures[i] = err
+                break
+        for k, (worker, receiver) in enumerate(workers, start=1):
+            for i in range(k, len(chunks), n):
+                try:
+                    ok, value = receiver.recv()
+                except EOFError:
+                    worker.join()
+                    failures[i] = OSError(f"worker process exited with code "
+                                          f"{worker.exitcode} before reporting its results")
+                    break
+                if not ok:
+                    failures[i] = value
+                    break
+                results[i] = value
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _run_share(fn: Callable, share: Sequence, sender) -> None:
+    """Body of a forked child: run ``fn`` over ``share`` up to its first
+    failure, then send ``(True, result)`` or ``(False, error)`` per chunk run."""
+    outcomes = []
+    for chunk in share:
+        try:
+            outcomes.append((True, fn(chunk)))
+        except Exception as err:
+            outcomes.append((False, err))
+            break
+    for outcome in outcomes:
+        sender.send(outcome)
+    sender.close()

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
-from hwfatigue import cli
+from hwfatigue import cli, data
 from hwfatigue.cli import ANALYZE_OUTPUTS, build_parser, main
 from hwfatigue.data import Dataset, write_dataset
 from hwfatigue.synth import SynthConfig, generate_dataset
@@ -227,6 +229,25 @@ class TestAnalyzeCommand:
             "--output", str(tmp_path / "res"))
         assert code == 1
         assert stderr.startswith(f"error: {bad}: sample 1: timestamp 20 follows 30")
+        assert not (tmp_path / "res").exists()
+
+    def test_worker_exiting_without_results_is_an_error(self, dataset_dir, tmp_path,
+                                                        capsys, monkeypatch):
+        caller, read = os.getpid(), data.read_svc
+
+        def read_or_die(path, device):
+            if os.getpid() != caller:
+                os._exit(3)
+            return read(path, device)
+
+        monkeypatch.setattr(data, "read_svc", read_or_die)
+        monkeypatch.setattr(data, "_process_count", lambda: 2)
+        code, stdout, stderr = run_cli(capsys, "analyze", "--input", str(dataset_dir),
+                                       "--output", str(tmp_path / "res"))
+        assert code == 1
+        assert stderr == "error: worker process exited with code 3 before reporting its results\n"
+        assert stdout == ""
+        assert multiprocessing.active_children() == []
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("flag, value", [

@@ -1,4 +1,5 @@
 import io
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hwfatigue import data
 from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
                             SvcParseError, load_dataset, parse_svc, read_svc,
                             recording_path, serialize_svc, write_dataset)
@@ -420,7 +422,99 @@ class TestDatasetIO:
         assert len(load_dataset(tmp_path)) == 45
 
     def test_write_rejects_three_digit_subject(self, tmp_path):
-        rec = make_recording(subject=100)
-        ds = Dataset([rec])
-        with pytest.raises(DatasetError, match="does not fit"):
+        ds = Dataset([make_recording(subject=1), make_recording(subject=100)])
+        with pytest.raises(DatasetError, match="subject_id 100 does not fit"):
             write_dataset(ds, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+PROCESS_COUNTS = (1, 2, 3)
+
+
+def error_of(call):
+    """Type, text and location of the error ``call()`` raises."""
+    with pytest.raises((ValueError, OSError)) as exc:
+        call()
+    err = exc.value
+    return type(err), str(err), getattr(err, "path", None), getattr(err, "line", None)
+
+
+class TestFanOut:
+    """``write_dataset`` and ``load_dataset`` give the same files, results and
+    errors whatever the process count; the count is forced so that the
+    forked path runs on a one-CPU host too."""
+
+    @pytest.fixture()
+    def processes(self, monkeypatch):
+        return lambda n: monkeypatch.setattr(data, "_process_count", lambda: n)
+
+    @pytest.fixture()
+    def root(self, tmp_path):
+        ds = generate_dataset(SynthConfig(n_subjects=3, samples_per_recording=30, seed=9))
+        root = tmp_path / "ds"
+        write_dataset(ds, root)
+        return root
+
+    def test_same_bytes_paths_and_arrays_for_any_count(self, tmp_path, processes):
+        ds = generate_dataset(SynthConfig(n_subjects=3, samples_per_recording=30, seed=9))
+        trees, paths, loads = [], [], []
+        for n in PROCESS_COUNTS:
+            processes(n)
+            root = tmp_path / f"n{n}"
+            written = write_dataset(ds, root)
+            paths.append([p.relative_to(root) for p in written])
+            trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*.svc")})
+            loads.append(load_dataset(root))
+        assert paths[0] == [recording_path(".", *key) for key in ds.keys()]
+        assert len(trees[0]) == 135
+        for n_paths, tree, loaded in zip(paths, trees, loads):
+            assert n_paths == paths[0]
+            assert tree == trees[0]
+            assert loaded.keys() == ds.keys()
+            for rec in loaded:
+                assert np.array_equal(rec.samples, ds.get(*rec.key).samples)
+                assert not rec.samples.flags.writeable
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("subject, session, content", [
+        (1, 2, "1\n10 20 0 1 0 0 banana\n"),           # parse error, chunk 1
+        (2, 3, "2\n1 2 30 1 0 0 5\n1 2 20 1 0 0 5\n"),  # Recording check, chunk 7
+    ])
+    def test_fault_in_a_child_share_matches_one_process(self, root, processes,
+                                                        subject, session, content):
+        # Chunks 1 and 7 fall in a child's share for n = 2 and n = 3.
+        bad = root / f"subject{subject:02d}" / f"session{session}" / "task5.svc"
+        bad.write_text(content)
+        errors = []
+        for n in PROCESS_COUNTS:
+            processes(n)
+            errors.append(error_of(lambda: load_dataset(root)))
+            assert multiprocessing.active_children() == []
+        assert errors == [errors[0]] * len(PROCESS_COUNTS)
+        assert errors[0][1].startswith(str(bad))
+
+    def test_first_fault_in_walk_order_wins_across_shares(self, root, processes):
+        # Chunks 1 (a child) and 2 (the caller when n = 2, a child when n = 3)
+        # both fail; for n = 2 the caller's own failure comes first in time.
+        first = root / "subject01" / "session2" / "task9.svc"
+        first.write_text("1\n1 2 3 7 0 0 5\n")
+        (root / "subject01" / "session3" / "task1.svc").write_text("junk\n")
+        for n in PROCESS_COUNTS:
+            processes(n)
+            kind, _, path, line = error_of(lambda: load_dataset(root))
+            assert (kind, path, line) == (SvcParseError, str(first), 2)
+
+    def test_write_fault_in_a_child_share_matches_one_process(self, tmp_path, processes):
+        ds = generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=5))
+        errors = []
+        for n in PROCESS_COUNTS:
+            processes(n)
+            root = tmp_path / f"n{n}"
+            # Chunk 1 (a child) and chunk 6 (the caller for n = 2 and 3) fail.
+            (root / "subject01" / "session2" / "task4.svc").mkdir(parents=True)
+            (root / "subject02" / "session2" / "task1.svc").mkdir(parents=True)
+            kind, text, _, _ = error_of(lambda: write_dataset(ds, root))
+            errors.append((kind, text.replace(str(root), "<root>")))
+        assert errors == [errors[0]] * len(PROCESS_COUNTS)
+        assert errors[0][0] is IsADirectoryError
+        assert "subject01/session2/task4.svc" in errors[0][1]
