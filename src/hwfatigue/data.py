@@ -25,10 +25,9 @@ Missing files are legal; entries that do not match the layout are ignored.
 (at most nine files) as one unit of work and spread the units over one
 process per CPU in this process's affinity set; there is no flag.  The
 calling process works through its own share while forked children work
-through theirs, so the written bytes, the returned paths or dataset and
-any error raised are the same whatever the process count.  A fault is
-reported as a one-process walk would report it: the first faulty file in
-walk order.  Python 3.12 and later warn (``DeprecationWarning``) when a
+through theirs.  The written bytes, the returned paths or dataset and any
+error raised do not depend on the process count: a fault is reported as a
+one-process walk would report it, the first faulty file in walk order.  Python 3.12 and later warn (``DeprecationWarning``) when a
 multi-threaded process forks, and importing numpy leaves its OpenBLAS
 threads running; the children only parse, format and do file I/O, and
 leave through ``os._exit``.
