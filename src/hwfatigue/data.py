@@ -21,16 +21,25 @@ A dataset directory groups recordings as::
 with NN zero-padded to two digits (01..99), S in 1..5 and T in 1..9.
 Missing files are legal; entries that do not match the layout are ignored.
 
-:func:`write_dataset` and :func:`load_dataset` treat each session directory
-(at most nine files) as one unit of work and spread the units over one
-process per CPU in this process's affinity set; there is no flag.  The
-calling process works through its own share while forked children work
-through theirs.  The written bytes, the returned paths or dataset and any
-error raised do not depend on the process count: a fault is reported as a
-one-process walk would report it, the first faulty file in walk order.  Python 3.12 and later warn (``DeprecationWarning``) when a
+Three functions share one process fan-out (:func:`_fan_out`), each with one
+subject's session as the unit of work: :func:`write_dataset` and
+:func:`load_dataset` (a session directory, at most nine files) and
+:func:`hwfatigue.synth.generate_dataset` (a session's nine recordings).  The
+units are spread over one process per CPU in this process's affinity set;
+there is no flag.  The calling process works through its own share while
+forked children work through theirs.  The written bytes, the returned paths
+or dataset and any error raised do not depend on the process count: a fault
+is reported as a one-process walk would report it, the first faulty unit in
+walk order.  Python 3.12 and later warn (``DeprecationWarning``) when a
 multi-threaded process forks, and importing numpy leaves its OpenBLAS
-threads running; the children only parse, format and do file I/O, and
-leave through ``os._exit``.
+threads running; the children only draw random numbers, parse, format and
+do file I/O, make no BLAS call, and leave through ``os._exit``.
+
+Every array a :class:`Recording` holds is checked once (:func:`_sample_fault`).
+The public constructor copies and checks the caller's array; arrays the
+package builds and checks itself (parsed files, generated sessions,
+recordings unpickled from a child) are wrapped by a private constructor
+without a copy or a second check.
 """
 
 from __future__ import annotations
@@ -40,11 +49,12 @@ import functools
 import io
 import itertools
 import os
+import pickle
 import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -137,33 +147,28 @@ class Recording:
     device: DeviceProfile = field(default_factory=DeviceProfile)
 
     def __post_init__(self) -> None:
+        self._check_key()
+        arr = np.array(self.samples, dtype=np.int64, copy=True)
+        if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
+            raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
+        fault = _sample_fault(arr[None], self.device.max_level)
+        if fault is not None:
+            raise ValueError(fault[1])
+        arr.setflags(write=False)
+        object.__setattr__(self, "samples", arr)
+
+    def _check_key(self) -> None:
         if self.subject_id < 1:
             raise ValueError(f"subject_id must be positive, got {self.subject_id}")
         if self.session_id not in SESSIONS:
             raise ValueError(f"session_id must be in 1..5, got {self.session_id}")
         if self.task_id not in TASKS:
             raise ValueError(f"task_id must be in 1..9, got {self.task_id}")
-        arr = np.array(self.samples, dtype=np.int64, copy=True)
-        if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
-            raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
-        if arr.shape[0] == 0:
-            raise ValueError("recording has no samples")
-        invalid = _invalid_sample(arr, self.device.max_level)
-        if invalid is not None:
-            raise ValueError(f"sample {invalid[0]}: {invalid[1]}")
-        ts = arr[:, COL_TIMESTAMP]
-        backwards = np.flatnonzero(np.diff(ts) < 0)
-        if backwards.size:
-            i = int(backwards[0]) + 1
-            raise ValueError(f"sample {i}: timestamp {ts[i]} follows {ts[i - 1]}, "
-                             "timestamps must be non-decreasing")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
 
     def __reduce__(self):
-        # Unpickling goes through the constructor, which checks and freezes
-        # the array again (pickle would otherwise restore a writable one).
-        return Recording, (*self.key, self.samples, self.device)
+        # The sending process checked the array; unpickling only freezes it
+        # again (pickle would otherwise restore a writable one).
+        return _recording, (*self.key, self.samples, self.device)
 
     @property
     def n_samples(self) -> int:
@@ -249,6 +254,45 @@ def _invalid_sample(samples: np.ndarray, max_level: int) -> tuple[int, str] | No
     if pen[row] not in (0, 1):
         return row, f"pen_status must be 0 or 1, got {pen[row]}"
     return row, f"pressure {pressure[row]} outside [0, {max_level}]"
+
+
+def _sample_fault(block: np.ndarray, max_level: int | None) -> tuple[int, str] | None:
+    """First fault of ``block``, a (k, n, 7) int64 stack of k recordings of n
+    samples each, as (recording index, message); None when there is none.
+
+    Checked in this order: no samples; a pen status not 0/1 or a pressure
+    outside ``[0, max_level]`` (skipped when ``max_level`` is None, for an
+    array :func:`parse_svc` has checked); a timestamp below the one before
+    it.  Every array a :class:`Recording` holds has passed this check once.
+    """
+    k, n = block.shape[:2]
+    if n == 0:
+        return 0, "recording has no samples"
+    if max_level is not None:
+        invalid = _invalid_sample(block.reshape(k * n, N_COLUMNS), max_level)
+        if invalid is not None:
+            r, i = divmod(invalid[0], n)
+            return r, f"sample {i}: {invalid[1]}"
+    ts = block[..., COL_TIMESTAMP]
+    backwards = ts[:, 1:] < ts[:, :-1]
+    if backwards.any():
+        r, i = divmod(int(np.argmax(backwards)), n - 1)
+        return r, (f"sample {i + 1}: timestamp {ts[r, i + 1]} follows {ts[r, i]}, "
+                   "timestamps must be non-decreasing")
+    return None
+
+
+def _recording(subject_id: int, session_id: int, task_id: int, samples: np.ndarray,
+               device: DeviceProfile) -> Recording:
+    """Private constructor for an (N, 7) int64 array that has passed
+    :func:`_sample_fault`: checks the key and freezes ``samples`` in place,
+    without copying or re-checking it."""
+    recording = object.__new__(Recording)
+    vars(recording).update(subject_id=subject_id, session_id=session_id, task_id=task_id,
+                           samples=samples, device=device)
+    recording._check_key()
+    samples.setflags(write=False)
+    return recording
 
 
 def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> np.ndarray:
@@ -445,11 +489,11 @@ def _read_session(files: list[tuple[tuple[int, int, int], Path]],
                   device: DeviceProfile) -> list[Recording]:
     recordings = []
     for key, path in files:
-        samples = read_svc(path, device)
-        try:
-            recordings.append(Recording(*key, samples, device))
-        except ValueError as err:
-            raise DatasetError(f"{path}: {err}") from err
+        samples = read_svc(path, device)  # pen and pressure are checked here
+        fault = _sample_fault(samples[None], None)
+        if fault is not None:
+            raise DatasetError(f"{path}: {fault[1]}")
+        recordings.append(_recording(*key, samples, device))
     return recordings
 
 
@@ -479,8 +523,13 @@ def _write_session(recordings: list[Recording], root: Path) -> list[Path]:
 
 
 def _process_count() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """CPUs this process may run on; 1 in a daemonic process (a
+    ``multiprocessing.Pool`` worker, say), which may not start children."""
+    import multiprocessing  # here, not at the top: importing the CLI stays lean
+
+    if multiprocessing.current_process().daemon or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _fan_out(fn: Callable, chunks: Sequence) -> list:
@@ -491,15 +540,16 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     run the others, so no more processes are busy than there are CPUs.
     ``fn`` and the chunks reach the children through fork and are never
     pickled.  Each child keeps its results until its share is done, then
-    sends one message per chunk, so the caller unpickles one chunk's result
-    at a time.  Every process stops at its first failing chunk; once all
-    outcomes are in and every child is reaped, the failure of the earliest
-    chunk is raised, which is the one ``n = 1`` (run inline) would raise.
+    sends one message per chunk (:func:`_send`), so the caller receives one
+    chunk's result at a time.  Every process stops at its first failing
+    chunk; once all outcomes are in and every child is reaped, the failure
+    of the earliest chunk is raised, which is the one ``n = 1`` (run
+    inline) would raise.
     """
     n = min(_process_count(), len(chunks))
     if n <= 1:
         return [fn(chunk) for chunk in chunks]
-    import multiprocessing  # here, not at the top: importing the CLI stays lean
+    import multiprocessing
 
     context = multiprocessing.get_context("fork")
     workers = []
@@ -507,22 +557,22 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     failures: dict[int, Exception] = {}  # chunk index -> its error
     try:
         for k in range(1, n):
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_run_share, args=(fn, chunks[k::n], sender),
+            read_fd, write_fd = os.pipe()
+            worker = context.Process(target=_run_share, args=(fn, chunks[k::n], write_fd),
                                      daemon=True)
             worker.start()
-            sender.close()
-            workers.append((worker, receiver))
+            os.close(write_fd)
+            workers.append((worker, open(read_fd, "rb")))
         for i in range(0, len(chunks), n):
             try:
                 results[i] = fn(chunks[i])
             except Exception as err:
                 failures[i] = err
                 break
-        for k, (worker, receiver) in enumerate(workers, start=1):
+        for k, (worker, pipe) in enumerate(workers, start=1):
             for i in range(k, len(chunks), n):
                 try:
-                    ok, value = receiver.recv()
+                    ok, value = _receive(pipe)
                 except EOFError:
                     worker.join()
                     failures[i] = OSError(f"worker process exited with code "
@@ -533,17 +583,18 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
                     break
                 results[i] = value
     finally:
-        for worker, receiver in workers:
-            receiver.close()
+        for worker, pipe in workers:
+            pipe.close()
             worker.join()
     if failures:
         raise failures[min(failures)]
     return results
 
 
-def _run_share(fn: Callable, share: Sequence, sender) -> None:
+def _run_share(fn: Callable, share: Sequence, fd: int) -> None:
     """Body of a forked child: run ``fn`` over ``share`` up to its first
-    failure, then send ``(True, result)`` or ``(False, error)`` per chunk run."""
+    failure, then send ``(True, result)`` or ``(False, error)`` per chunk run
+    to the pipe end ``fd``."""
     outcomes = []
     for chunk in share:
         try:
@@ -551,6 +602,35 @@ def _run_share(fn: Callable, share: Sequence, sender) -> None:
         except Exception as err:
             outcomes.append((False, err))
             break
-    for outcome in outcomes:
-        sender.send(outcome)
-    sender.close()
+    with open(fd, "wb") as pipe:
+        for outcome in outcomes:
+            _send(pipe, outcome)
+
+
+def _send(pipe: BinaryIO, value) -> None:
+    """Write ``value`` to ``pipe`` as a pickle whose array data travel out of
+    band (protocol 5): a length-prefixed frame naming each buffer's size,
+    then the buffers straight from the arrays' memory."""
+    buffers = []
+    head = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
+    raw = [buffer.raw() for buffer in buffers]
+    frame = pickle.dumps((head, [part.nbytes for part in raw]))
+    pipe.write(len(frame).to_bytes(8, "little") + frame)
+    for part in raw:
+        pipe.write(part)
+
+
+def _receive(pipe: BinaryIO):
+    """Read one :func:`_send` value from ``pipe``.  Each array's data is read
+    once, into memory the array then owns; EOFError if the pipe ends first."""
+    header = _read_into(pipe, bytearray(8))
+    head, sizes = pickle.loads(_read_into(pipe, bytearray(int.from_bytes(header, "little"))))
+    buffers = [_read_into(pipe, np.empty(nbytes, dtype=np.uint8)) for nbytes in sizes]
+    return pickle.loads(head, buffers=buffers)
+
+
+def _read_into(pipe: BinaryIO, buffer):
+    """Fill ``buffer`` from ``pipe`` and return it; EOFError if the pipe ends first."""
+    if pipe.readinto(buffer) < len(buffer):
+        raise EOFError
+    return buffer

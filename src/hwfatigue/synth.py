@@ -20,7 +20,10 @@ bit-identical.  Per recording the draw order is fixed: n saturation
 uniforms, then one (5, n) standard-normal block (base pressure, x, y,
 azimuth, altitude noise), scaled afterwards.  numpy's ``normal(loc, scale)``
 is ``loc + scale * standard_normal``: the same values as one ``normal`` call
-per channel.  ``generate_dataset`` works one session (9 recordings) at a time.
+per channel.  ``generate_dataset`` draws one session (9 recordings) per call
+of the kernel and spreads sessions over processes like
+:func:`hwfatigue.data.write_dataset` does; the per-recording streams make the
+output the same for any process count.
 
 Pressure model: each sample saturates (emits ``max_level``) with probability
 p_sat and otherwise draws round(N(600, 150)) clamped to [1, max_level - 1].
@@ -30,6 +33,7 @@ the session is a fatigue session and the task is high-variation, capped at 1.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -37,7 +41,8 @@ from typing import Mapping
 import numpy as np
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
-                   COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS)
+                   COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS,
+                   _fan_out, _recording, _sample_fault)
 
 _PRESSURE_MEAN = 600.0
 _PRESSURE_SD = 150.0
@@ -221,24 +226,50 @@ def _generate_samples(config: SynthConfig, subject_id: int, session_id: int,
     return samples
 
 
+def _checked_samples(config: SynthConfig, means: np.ndarray, task_ids,
+                     session: tuple[int, int]) -> np.ndarray:
+    """``_generate_samples`` for one subject's session, checked in one pass;
+    a fault names the subject, session, task and sample."""
+    subject_id, session_id = session
+    block = _generate_samples(config, subject_id, session_id, task_ids, means)
+    fault = _sample_fault(block, config.device.max_level)
+    if fault is not None:
+        raise ValueError(f"subject {subject_id}, session {session_id}, "
+                         f"task {task_ids[fault[0]]}: {fault[1]}")
+    return block
+
+
+def _session_recordings(config: SynthConfig, task_ids, session: tuple[int, int],
+                        block: np.ndarray) -> list[Recording]:
+    """Freeze a checked block and wrap its rows, read-only views, as recordings."""
+    block.setflags(write=False)
+    return [_recording(*session, task_id, samples, config.device)
+            for task_id, samples in zip(task_ids, block)]
+
+
 def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
                        task_id: int) -> Recording:
     """Generate one recording, deterministic in (seed, subject, session, task)."""
     if not 1 <= subject_id <= config.n_subjects:
         raise ValueError(f"subject_id must be in 1..{config.n_subjects}, got {subject_id}")
     means = _draw_means((task_id,), config.samples_per_recording)
-    samples = _generate_samples(config, subject_id, session_id, (task_id,), means)
-    return Recording(subject_id, session_id, task_id, samples[0], config.device)
+    session = (subject_id, session_id)
+    block = _checked_samples(config, means, (task_id,), session)
+    return _session_recordings(config, (task_id,), session, block)[0]
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
     """Generate the full n_subjects x 5 sessions x 9 tasks dataset, one
-    session (nine recordings) at a time."""
+    session (nine recordings) per work unit, spread over processes as in
+    :func:`hwfatigue.data.write_dataset`.
+
+    Each recording's ``samples`` is a read-only view of its session's
+    (9, n, 7) block, so one recording kept alive keeps its session's nine
+    arrays alive.
+    """
     means = _draw_means(TASKS, config.samples_per_recording)
-    dataset = Dataset()
-    for subject_id in range(1, config.n_subjects + 1):
-        for session_id in SESSIONS:
-            block = _generate_samples(config, subject_id, session_id, TASKS, means)
-            for task_id, samples in zip(TASKS, block):
-                dataset.add(Recording(subject_id, session_id, task_id, samples, config.device))
-    return dataset
+    sessions = [(subject_id, session_id) for subject_id in range(1, config.n_subjects + 1)
+                for session_id in SESSIONS]
+    blocks = _fan_out(functools.partial(_checked_samples, config, means, TASKS), sessions)
+    return Dataset(recording for session, block in zip(sessions, blocks)
+                   for recording in _session_recordings(config, TASKS, session, block))

@@ -1,5 +1,6 @@
 import io
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hwfatigue import data
+from hwfatigue import data, synth
 from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
                             SvcParseError, load_dataset, parse_svc, read_svc,
                             recording_path, serialize_svc, write_dataset)
-from hwfatigue.synth import SynthConfig, generate_dataset
+from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording
 
 VALID_TEXT = "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023\n"
 
@@ -298,6 +299,12 @@ class TestRecording:
         with pytest.raises(ValueError):
             rec.samples[0, 0] = 99
 
+    def test_copies_the_callers_array(self):
+        samples = np.array([[0, 0, 0, 1, 0, 0, 5], [0, 0, 10, 1, 0, 0, 6]])
+        rec = Recording(1, 1, 1, samples)
+        samples[0, data.COL_PRESSURE] = 7
+        assert rec.pressure.tolist() == [5, 6]
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no samples"):
             make_recording(pressures=())
@@ -439,10 +446,14 @@ def error_of(call):
     return type(err), str(err), getattr(err, "path", None), getattr(err, "line", None)
 
 
+def _dataset_arrays(config):
+    return [(rec.key, rec.samples.tolist()) for rec in generate_dataset(config)]
+
+
 class TestFanOut:
-    """``write_dataset`` and ``load_dataset`` give the same files, results and
-    errors whatever the process count; the count is forced so that the
-    forked path runs on a one-CPU host too."""
+    """``write_dataset``, ``load_dataset`` and ``generate_dataset`` give the
+    same files, results and errors whatever the process count; the count is
+    forced so that the forked path runs on a one-CPU host too."""
 
     @pytest.fixture()
     def processes(self, monkeypatch):
@@ -518,3 +529,101 @@ class TestFanOut:
         assert errors == [errors[0]] * len(PROCESS_COUNTS)
         assert errors[0][0] is IsADirectoryError
         assert "subject01/session2/task4.svc" in errors[0][1]
+
+    def test_runs_inline_in_a_daemonic_worker(self):
+        # A Pool worker is daemonic and may not fork children of its own.
+        config = SynthConfig(n_subjects=2, samples_per_recording=10)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply_async(_dataset_arrays, (config,)).get(timeout=60)
+        assert in_worker == _dataset_arrays(config)
+
+    def test_message_round_trip_and_truncation(self):
+        rec = make_recording()
+        stream = io.BytesIO()
+        data._send(stream, (True, [rec, recording_path(".", *rec.key)]))
+        message = stream.getvalue()
+        ok, (copy, path) = data._receive(io.BytesIO(message))
+        assert ok and copy.key == rec.key and path == recording_path(".", *rec.key)
+        assert np.array_equal(copy.samples, rec.samples)
+        assert not copy.samples.flags.writeable
+        for cut in (0, 5, 8, 20, len(message) - 1):
+            with pytest.raises(EOFError):
+                data._receive(io.BytesIO(message[:cut]))
+
+    def test_generate_same_recordings_for_any_count(self, processes):
+        config = SynthConfig(n_subjects=3, samples_per_recording=30, seed=9)
+        datasets = []
+        for n in PROCESS_COUNTS:
+            processes(n)
+            datasets.append(generate_dataset(config))
+            assert multiprocessing.active_children() == []
+        assert len(datasets[0]) == 135
+        for ds in datasets:
+            assert ds.keys() == datasets[0].keys()
+            for rec in ds:
+                assert np.array_equal(rec.samples, datasets[0].get(*rec.key).samples)
+                assert np.array_equal(rec.samples, generate_recording(config, *rec.key).samples)
+                assert not rec.samples.flags.writeable
+                with pytest.raises(ValueError):
+                    rec.samples[0, data.COL_PRESSURE] = 0
+
+    def test_generate_fault_in_a_child_share_matches_one_process(self, processes, monkeypatch):
+        # Chunk 1 (subject 1, session 2) falls in a child's share for n = 2
+        # and n = 3; chunk 6 (subject 2, session 2) in the caller's.
+        kernel = synth._generate_samples
+
+        def faulty(config, subject_id, session_id, task_ids, means):
+            block = kernel(config, subject_id, session_id, task_ids, means)
+            if session_id == 2:
+                block[3, 4 + subject_id, data.COL_PRESSURE] = config.device.max_level + 1
+            return block
+
+        monkeypatch.setattr(synth, "_generate_samples", faulty)
+        config = SynthConfig(n_subjects=2, samples_per_recording=20)
+        errors = []
+        for n in PROCESS_COUNTS:
+            processes(n)
+            errors.append(error_of(lambda: generate_dataset(config)))
+            assert multiprocessing.active_children() == []
+        assert errors == [errors[0]] * len(PROCESS_COUNTS)
+        assert errors[0][:2] == (ValueError, "subject 1, session 2, task 4: sample 5: "
+                                             "pressure 1024 outside [0, 1023]")
+
+
+class TestCheckedOnce:
+    """Pen and pressure are checked once per array the package builds: once
+    per generated session, once per loaded file, never on unpickling."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        monkeypatch.setattr(data, "_process_count", lambda: 1)
+        calls = []
+        check = data._invalid_sample
+
+        def counted(samples, max_level):
+            calls.append(samples.shape)
+            return check(samples, max_level)
+
+        monkeypatch.setattr(data, "_invalid_sample", counted)
+        return calls
+
+    def test_generate_checks_once_per_session(self, calls):
+        ds = generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=20))
+        assert len(ds) == 90
+        assert calls == [(9 * 20, 7)] * 10
+
+    def test_load_checks_once_per_file(self, tmp_path, calls):
+        written = write_dataset(
+            generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=20)), tmp_path)
+        calls.clear()
+        assert len(load_dataset(tmp_path)) == len(written) == 90
+        assert calls == [(20, 7)] * 90
+
+    def test_unpickling_does_not_check(self, calls):
+        rec = make_recording()
+        calls.clear()
+        copy = pickle.loads(pickle.dumps(rec))
+        assert calls == []
+        assert copy.key == rec.key and copy.device == rec.device
+        assert np.array_equal(copy.samples, rec.samples)
+        assert not copy.samples.flags.writeable
