@@ -34,11 +34,12 @@ ANALYZE_OUTPUTS = ("table1.csv", "table1.json", "table2.csv", "table2.json",
 
 _FORMAT_HELP = """\
 SVC file format (all columns integers):
-    line 1:        N                 number of samples
+    line 1:        N                 number of samples, at least 1
     lines 2..N+1:  x y timestamp pen_status azimuth altitude pressure
 Tokens are ASCII integers [+-]?[0-9]+ that fit int64, separated by spaces or
 tabs; lines end in LF or CRLF; blank lines are ignored.
-pen_status is 0 (up) or 1 (down); pressure lies in [0, max pressure level].
+pen_status is 0 (up) or 1 (down); pressure lies in [0, max pressure level];
+timestamps are non-decreasing.
 
 Dataset directory layout:
     root/subject<NN>/session<S>/task<T>.svc
@@ -144,6 +145,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     outdir = Path(args.output)
     _check_output_dir(outdir)
+    # A failed run must not leave the previous run's artifacts looking fresh.
+    for name in ANALYZE_OUTPUTS:
+        (outdir / name).unlink(missing_ok=True)
     dataset = load_dataset(args.input, DeviceProfile(max_level=args.sat_level))
     if len(dataset) == 0:
         print(f"error: no recordings found under {args.input}", file=sys.stderr)

@@ -9,10 +9,10 @@ are stored on disk in a plain-text SVC-style format:
 
 All seven channels are integers, written as ASCII tokens ``[+-]?[0-9]+``
 that fit int64 and are separated by spaces or tabs.  Lines end in LF or
-CRLF; blank lines are ignored.  ``pen_status`` is 0 (pen up, hovering) or
-1 (pen down, touching the surface).  ``pressure`` is a device level in
-``[0, max_level]`` where ``max_level`` is the sensor ceiling (1023 for the
-reference tablet).
+CRLF; blank lines are ignored.  N is at least 1.  ``pen_status`` is 0 (pen
+up, hovering) or 1 (pen down, touching the surface).  ``pressure`` is a
+device level in ``[0, max_level]`` where ``max_level`` is the sensor ceiling
+(1023 for the reference tablet).  Timestamps are non-decreasing.
 
 A dataset directory groups recordings as::
 
@@ -35,11 +35,12 @@ multi-threaded process forks, and importing numpy leaves its OpenBLAS
 threads running; the children only draw random numbers, parse, format and
 do file I/O, make no BLAS call, and leave through ``os._exit``.
 
-Every array a :class:`Recording` holds is checked once (:func:`_sample_fault`).
-The public constructor copies and checks the caller's array; arrays the
-package builds and checks itself (parsed files, generated sessions,
-recordings unpickled from a child) are wrapped by a private constructor
-without a copy or a second check.
+One function, :func:`_sample_fault`, checks every sample array, and every
+array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
+returns exactly the arrays the public constructor accepts, which copies and
+checks the caller's array; arrays the package builds and checks itself
+(parsed files, generated sessions, recordings unpickled from a child) are
+wrapped by a private constructor without a copy or a second check.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class SvcParseError(ValueError):
 
 
 class DatasetError(ValueError):
-    """Invalid dataset content (duplicate keys, unreadable recordings)."""
+    """Invalid dataset content or layout (duplicate keys, a bad root or subject id)."""
 
 
 class PenStatus(enum.IntEnum):
@@ -147,27 +148,24 @@ class Recording:
     device: DeviceProfile = field(default_factory=DeviceProfile)
 
     def __post_init__(self) -> None:
-        self._check_key()
-        arr = np.array(self.samples, dtype=np.int64, copy=True)
-        if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
-            raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
-        fault = _sample_fault(arr[None], self.device.max_level)
-        if fault is not None:
-            raise ValueError(fault[1])
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    def _check_key(self) -> None:
         if self.subject_id < 1:
             raise ValueError(f"subject_id must be positive, got {self.subject_id}")
         if self.session_id not in SESSIONS:
             raise ValueError(f"session_id must be in 1..5, got {self.session_id}")
         if self.task_id not in TASKS:
             raise ValueError(f"task_id must be in 1..9, got {self.task_id}")
+        arr = _int64_rows(self.samples, copy=True)
+        if len(arr) == 0:
+            raise ValueError("recording has no samples")
+        fault = _sample_fault(arr[None], self.device.max_level)
+        if fault is not None:
+            raise ValueError(f"sample {fault[1]}: {fault[2]}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "samples", arr)
 
     def __reduce__(self):
-        # The sending process checked the array; unpickling only freezes it
-        # again (pickle would otherwise restore a writable one).
+        # The sending process checked the key and array; unpickling only
+        # freezes the array again (pickle would otherwise restore a writable one).
         return _recording, (*self.key, self.samples, self.device)
 
     @property
@@ -241,56 +239,51 @@ class Dataset:
             yield self._recordings[key]
 
 
-def _invalid_sample(samples: np.ndarray, max_level: int) -> tuple[int, str] | None:
-    """Row index and description of the first sample of an (N, 7) array whose
-    pen status is not 0/1 or whose pressure lies outside ``[0, max_level]``;
-    None when every sample is valid."""
-    pen = samples[:, COL_PEN_STATUS]
-    pressure = samples[:, COL_PRESSURE]
-    if len(samples) == 0 or (pen.min() >= 0 and pen.max() <= 1
-                             and pressure.min() >= 0 and pressure.max() <= max_level):
-        return None
-    row = int(np.argmax((pen != 0) & (pen != 1) | (pressure < 0) | (pressure > max_level)))
-    if pen[row] not in (0, 1):
-        return row, f"pen_status must be 0 or 1, got {pen[row]}"
-    return row, f"pressure {pressure[row]} outside [0, {max_level}]"
+def _int64_rows(samples, copy: bool) -> np.ndarray:
+    """``samples`` as an (N, 7) int64 array, copied if ``copy`` or the dtype
+    differs.  ValueError for another shape, or for a dtype that does not cast
+    exactly to int64 (floats: a NaN or a 5.7 would become some integer)."""
+    arr = np.asarray(samples)
+    if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
+        raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
+    if arr.size and not np.can_cast(arr.dtype, np.int64):
+        raise ValueError(f"samples must be integers that fit int64, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=copy)
 
 
-def _sample_fault(block: np.ndarray, max_level: int | None) -> tuple[int, str] | None:
-    """First fault of ``block``, a (k, n, 7) int64 stack of k recordings of n
-    samples each, as (recording index, message); None when there is none.
-
-    Checked in this order: no samples; a pen status not 0/1 or a pressure
-    outside ``[0, max_level]`` (skipped when ``max_level`` is None, for an
-    array :func:`parse_svc` has checked); a timestamp below the one before
-    it.  Every array a :class:`Recording` holds has passed this check once.
-    """
-    k, n = block.shape[:2]
-    if n == 0:
-        return 0, "recording has no samples"
-    if max_level is not None:
-        invalid = _invalid_sample(block.reshape(k * n, N_COLUMNS), max_level)
-        if invalid is not None:
-            r, i = divmod(invalid[0], n)
-            return r, f"sample {i}: {invalid[1]}"
+def _sample_fault(block: np.ndarray, max_level: int) -> tuple[int, int, str] | None:
+    """First invalid sample of ``block``, a (k, n, 7) int64 stack of k
+    recordings of n samples each, in row order, as (recording index, sample
+    index, reason); None when every sample is valid.  A sample is invalid
+    when its pen status is not 0/1, its pressure lies outside
+    ``[0, max_level]`` or its timestamp is below the one before it.  This is
+    the package's one check of sample values."""
+    pen = block[..., COL_PEN_STATUS]
+    pressure = block[..., COL_PRESSURE]
     ts = block[..., COL_TIMESTAMP]
     backwards = ts[:, 1:] < ts[:, :-1]
-    if backwards.any():
-        r, i = divmod(int(np.argmax(backwards)), n - 1)
-        return r, (f"sample {i + 1}: timestamp {ts[r, i + 1]} follows {ts[r, i]}, "
-                   "timestamps must be non-decreasing")
-    return None
+    if block.size == 0 or (pen.min() >= 0 and pen.max() <= 1 and pressure.min() >= 0
+                           and pressure.max() <= max_level and not backwards.any()):
+        return None
+    invalid = (pen != 0) & (pen != 1) | (pressure < 0) | (pressure > max_level)
+    invalid[:, 1:] |= backwards
+    r, i = divmod(int(np.argmax(invalid)), block.shape[1])
+    if pen[r, i] not in (0, 1):
+        return r, i, f"pen_status must be 0 or 1, got {pen[r, i]}"
+    if not 0 <= pressure[r, i] <= max_level:
+        return r, i, f"pressure {pressure[r, i]} outside [0, {max_level}]"
+    return r, i, (f"timestamp {ts[r, i]} follows {ts[r, i - 1]}, "
+                  "timestamps must be non-decreasing")
 
 
 def _recording(subject_id: int, session_id: int, task_id: int, samples: np.ndarray,
                device: DeviceProfile) -> Recording:
-    """Private constructor for an (N, 7) int64 array that has passed
-    :func:`_sample_fault`: checks the key and freezes ``samples`` in place,
-    without copying or re-checking it."""
+    """Private constructor for a key from the layout's regexes, the generation
+    loops or an existing recording, and an (N, 7) int64 array that has passed
+    :func:`_sample_fault`: freezes ``samples`` in place, checks nothing."""
     recording = object.__new__(Recording)
     vars(recording).update(subject_id=subject_id, session_id=session_id, task_id=task_id,
                            samples=samples, device=device)
-    recording._check_key()
     samples.setflags(write=False)
     return recording
 
@@ -299,11 +292,13 @@ def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> 
     """Parse SVC text into an (N, 7) int64 sample array.
 
     ``source`` may be a string or a text file object.  The declared sample
-    count must match the number of data lines exactly, every line must carry
-    seven ASCII integer tokens ``[+-]?[0-9]+`` that fit int64, pen status
-    must be 0/1 and pressure must lie in ``[0, device.max_level]``.  Any
+    count must be at least 1 and match the number of data lines exactly,
+    every line must carry seven ASCII integer tokens ``[+-]?[0-9]+`` that fit
+    int64, pen status must be 0/1, pressure must lie in
+    ``[0, device.max_level]`` and timestamps must be non-decreasing.  Any
     violation raises :class:`SvcParseError` with the 1-based line number; no
-    partial result is ever returned.
+    partial result is ever returned.  So the arrays returned are exactly
+    those ``Recording(...)`` accepts.
 
     Blank lines are ignored (the canonical writer emits none).  Tokens are
     separated by spaces or tabs; lines end in LF or CRLF.
@@ -312,7 +307,7 @@ def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> 
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     samples = _parse_vectorized(text)
-    if samples is None or _invalid_sample(samples, device.max_level) is not None:
+    if samples is None or _sample_fault(samples[None], device.max_level) is not None:
         samples = _parse_lines(text, device)
     return samples
 
@@ -332,7 +327,7 @@ def _parse_vectorized(text: str) -> np.ndarray | None:
     except ValueError:
         return None
     if not body.strip(" \t\n"):
-        return np.empty((0, N_COLUMNS), dtype=np.int64) if declared == 0 else None
+        return None
     try:
         with warnings.catch_warnings():
             # Older numpy parses an int64 overflow via float and only warns.
@@ -346,10 +341,11 @@ def _parse_vectorized(text: str) -> np.ndarray | None:
 def _parse_lines(text: str, device: DeviceProfile) -> np.ndarray:
     """Line-by-line parse that raises at the first bad line.
 
-    Runs only after :func:`_parse_vectorized` has given up, so that errors
-    carry a file line and a reason.  Syntax is checked line by line; the
-    pen and pressure checks run on the rows parsed before the first syntax
-    error, so whichever fault comes first in the file is reported.
+    Runs only after :func:`_parse_vectorized` has given up or its array
+    failed :func:`_sample_fault`, so that errors carry a file line and a
+    reason.  Syntax is checked line by line; :func:`_sample_fault` runs on
+    the rows parsed before the first syntax error, so whichever fault comes
+    first in the file is reported.
     """
     numbered = [(i, line.strip(" \t")) for i, line in enumerate(text.split("\n"), start=1)]
     numbered = [(i, line) for i, line in numbered if line]
@@ -363,8 +359,8 @@ def _parse_lines(text: str, device: DeviceProfile) -> np.ndarray:
     declared = _int64(header)
     if declared is None:
         raise SvcParseError(f"sample count out of range: {header!r}", line=header_line_no)
-    if declared < 0:
-        raise SvcParseError(f"sample count must be non-negative, got {declared}",
+    if declared < 1:
+        raise SvcParseError(f"sample count must be positive, got {declared}",
                             line=header_line_no)
 
     data_lines = numbered[1:]
@@ -392,9 +388,9 @@ def _parse_lines(text: str, device: DeviceProfile) -> np.ndarray:
             break
         rows.append(values)
     samples = np.array(rows, dtype=np.int64).reshape(len(rows), N_COLUMNS)
-    invalid = _invalid_sample(samples, device.max_level)
+    invalid = _sample_fault(samples[None], device.max_level)
     if invalid is not None:
-        raise SvcParseError(invalid[1], line=data_lines[invalid[0]][0])
+        raise SvcParseError(invalid[2], line=data_lines[invalid[1]][0])
     if fault is not None:
         raise fault
     return samples
@@ -431,11 +427,10 @@ def serialize_svc(samples) -> str:
     """Render an (N, 7) integer sample array in canonical SVC text: count
     header, one space-separated row per sample, LF line endings.
 
-    Canonical form round-trips bit-exactly through :func:`parse_svc`.
+    The text of any array ``Recording`` accepts round-trips bit-exactly
+    through :func:`parse_svc`; values are not checked here.
     """
-    arr = np.asarray(samples, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
-        raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
+    arr = _int64_rows(samples, copy=False)
     return f"{arr.shape[0]}\n" + (_ROW_FORMAT * arr.shape[0]) % tuple(arr.ravel().tolist())
 
 
@@ -448,10 +443,9 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
 
     Walks the ``subject<NN>/session<S>/task<T>.svc`` layout; entries that do
     not match it are ignored, missing cells are legal.  A malformed file
-    aborts the whole load with a :class:`SvcParseError` or
-    :class:`DatasetError` naming its path; with several malformed files it
-    is the first in walk order.  Session directories are read in parallel
-    (see the module docstring).
+    aborts the whole load with a :class:`SvcParseError` naming its path and
+    line; with several malformed files it is the first in walk order.
+    Session directories are read in parallel (see the module docstring).
     """
     root = Path(root)
     if not root.is_dir():
@@ -487,14 +481,7 @@ def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
 
 def _read_session(files: list[tuple[tuple[int, int, int], Path]],
                   device: DeviceProfile) -> list[Recording]:
-    recordings = []
-    for key, path in files:
-        samples = read_svc(path, device)  # pen and pressure are checked here
-        fault = _sample_fault(samples[None], None)
-        if fault is not None:
-            raise DatasetError(f"{path}: {fault[1]}")
-        recordings.append(_recording(*key, samples, device))
-    return recordings
+    return [_recording(*key, read_svc(path, device), device) for key, path in files]
 
 
 def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:

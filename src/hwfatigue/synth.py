@@ -125,9 +125,10 @@ class SynthConfig:
         }
 
 
-def _stream_key(seed: int, subject_id: int, session_id: int, task_id: int) -> int:
+def _stream_key(seed: int, subject_id: int, session_id: int, task_id: int) -> np.ndarray:
+    """The recording's 128-bit Philox key as two little-endian 64-bit words."""
     msg = f"hwfatigue-synth-v1:{seed}:{subject_id}:{session_id}:{task_id}".encode("ascii")
-    return int.from_bytes(hashlib.sha256(msg).digest()[:16], "little")
+    return np.frombuffer(hashlib.sha256(msg).digest()[:16], dtype="<u8")
 
 
 def _polyline(vertices: list[tuple[float, float]], t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +206,13 @@ def _generate_samples(config: SynthConfig, subject_id: int, session_id: int,
     k, n, max_level = len(task_ids), config.samples_per_recording, config.device.max_level
     uniforms = np.empty((k, n))
     values = np.empty((k, 5, n))
+    # One bit generator, re-keyed per recording from its fresh state:
+    # Philox(key=...) seeds a discarded SeedSequence from OS entropy each time.
+    bit_generator = np.random.Philox()
+    rng, fresh = np.random.Generator(bit_generator), bit_generator.state
     for i, task_id in enumerate(task_ids):
-        rng = np.random.Generator(np.random.Philox(
-            key=_stream_key(config.seed, subject_id, session_id, task_id)))
+        key = _stream_key(config.seed, subject_id, session_id, task_id)
+        bit_generator.state = {**fresh, "state": {**fresh["state"], "key": key}}
         rng.random(out=uniforms[i])
         rng.standard_normal(out=values[i])
     p_sat = np.array([config.saturation_probability(session_id, t) for t in task_ids])
@@ -235,7 +240,7 @@ def _checked_samples(config: SynthConfig, means: np.ndarray, task_ids,
     fault = _sample_fault(block, config.device.max_level)
     if fault is not None:
         raise ValueError(f"subject {subject_id}, session {session_id}, "
-                         f"task {task_ids[fault[0]]}: {fault[1]}")
+                         f"task {task_ids[fault[0]]}: sample {fault[1]}: {fault[2]}")
     return block
 
 
@@ -252,6 +257,8 @@ def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
     """Generate one recording, deterministic in (seed, subject, session, task)."""
     if not 1 <= subject_id <= config.n_subjects:
         raise ValueError(f"subject_id must be in 1..{config.n_subjects}, got {subject_id}")
+    if session_id not in SESSIONS:
+        raise ValueError(f"session_id must be in 1..5, got {session_id}")
     means = _draw_means((task_id,), config.samples_per_recording)
     session = (subject_id, session_id)
     block = _checked_samples(config, means, (task_id,), session)

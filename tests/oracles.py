@@ -121,9 +121,11 @@ def _split_blanks(line: str) -> list[str]:
 
 def parse_svc_by_lines(text: str, max_level: int) -> list[list[int]]:
     """Reference SVC parser: one loop over the lines, checking each line
-    completely (columns, tokens, int64 range, pen status, pressure) before
-    the next.  A CR is part of a line ending only directly before an LF;
-    lines holding only spaces and tabs are blank and skipped."""
+    completely (columns, tokens, int64 range, pen status, pressure, a
+    timestamp not below the previous row's) before the next.  The header
+    declares at least one sample.  A CR is part of a line ending only
+    directly before an LF; lines holding only spaces and tabs are blank and
+    skipped."""
     lines = text.split("\n")
     numbered = []
     for i, line in enumerate(lines, start=1):
@@ -136,14 +138,15 @@ def parse_svc_by_lines(text: str, max_level: int) -> list[list[int]]:
         raise SvcReject(None)
     header_line, header = numbered[0]
     declared = _ascii_int(header[0]) if len(header) == 1 else None
-    if declared is None or declared < 0 or declared != len(numbered) - 1:
+    if declared is None or declared < 1 or declared != len(numbered) - 1:
         raise SvcReject(header_line)
     rows = []
     for line_no, tokens in numbered[1:]:
         values = [_ascii_int(t) for t in tokens]
         if (len(values) != 7 or None in values
                 or any(not _INT64_MIN <= v <= _INT64_MAX for v in values)
-                or values[3] not in (0, 1) or not 0 <= values[6] <= max_level):
+                or values[3] not in (0, 1) or not 0 <= values[6] <= max_level
+                or (rows and values[2] < rows[-1][2])):
             raise SvcReject(line_no)
         rows.append(values)
     return rows

@@ -228,8 +228,21 @@ class TestAnalyzeCommand:
             capsys, "analyze", "--input", str(dataset_dir),
             "--output", str(tmp_path / "res"))
         assert code == 1
-        assert stderr.startswith(f"error: {bad}: sample 1: timestamp 20 follows 30")
+        assert stderr.startswith(f"error: {bad}:3: timestamp 20 follows 30")
         assert not (tmp_path / "res").exists()
+
+    def test_failed_rerun_leaves_no_stale_artifacts(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run_cli(capsys, "analyze", "--input", str(dataset_dir),
+                       "--output", str(out))[0] == 0
+        (out / "notes.txt").write_text("keep\n")
+        (dataset_dir / "subject03" / "session2" / "task6.svc").write_text("junk\n")
+        code, stdout, stderr = run_cli(capsys, "analyze", "--input", str(dataset_dir),
+                                       "--output", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stdout == ""
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "keep\n"
 
     def test_worker_exiting_without_results_is_an_error(self, dataset_dir, tmp_path,
                                                         capsys, monkeypatch):
@@ -364,6 +377,18 @@ class TestFeaturesCommand:
         code, _, stderr = run_cli(capsys, "features", "--input", str(svc))
         assert code == 1
         assert "bad.svc:2:" in stderr
+
+    @pytest.mark.parametrize("content, message", [
+        ("0\n", ":1: sample count must be positive, got 0"),
+        ("2\n0 0 30 1 0 0 5\n0 0 20 1 0 0 5\n", ":3: timestamp 20 follows 30, "),
+    ])
+    def test_invalid_samples_report_path_and_line(self, tmp_path, capsys, content, message):
+        svc = tmp_path / "bad.svc"
+        svc.write_text(content)
+        code, stdout, stderr = run_cli(capsys, "features", "--input", str(svc))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {svc}{message}")
 
 
 class TestParser:

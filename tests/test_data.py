@@ -88,15 +88,19 @@ class TestParseSvc:
             parse_svc("two\n10 20 0 1 0 0 500\n")
 
     def test_negative_header(self):
-        with pytest.raises(SvcParseError, match="non-negative"):
+        with pytest.raises(SvcParseError, match="must be positive, got -1") as exc:
             parse_svc("-1\n")
+        assert exc.value.line == 1
 
     def test_empty_input(self):
         with pytest.raises(SvcParseError, match="missing sample-count header"):
             parse_svc("")
 
     def test_zero_samples(self):
-        assert parse_svc("0\n").shape == (0, 7)
+        # Recording refuses an empty array, so the parser refuses it at the header
+        with pytest.raises(SvcParseError, match="must be positive, got 0") as exc:
+            parse_svc("0\n")
+        assert exc.value.line == 1
 
     def test_error_never_returns_partial(self):
         # second line is bad: nothing from line one must leak out
@@ -160,6 +164,24 @@ class TestParseSvc:
             parse_svc(text)
         assert exc.value.line == 2
 
+    def test_decreasing_timestamp_names_its_file_line(self):
+        # lines 3 and 4 are blank, so data row 1 is file line 5
+        text = "3\n1 2 30 1 0 0 5\n\n \n1 2 20 1 0 0 5\n1 2 40 1 0 0 5\n"
+        with pytest.raises(SvcParseError) as exc:
+            parse_svc(text)
+        assert exc.value.line == 5
+        assert exc.value.message == ("timestamp 20 follows 30, "
+                                     "timestamps must be non-decreasing")
+
+    def test_timestamp_fault_before_a_column_fault_wins(self):
+        text = "3\n1 2 30 1 0 0 5\n1 2 20 1 0 0 5\n1 2 40 1 0\n"
+        with pytest.raises(SvcParseError, match="timestamp 20 follows 30") as exc:
+            parse_svc(text)
+        assert exc.value.line == 3
+
+    def test_equal_timestamps_accepted(self):
+        assert parse_svc("2\n1 2 30 1 0 0 5\n1 2 30 1 0 0 5\n").shape == (2, 7)
+
 
 # Tokens a generated line may carry in place of a valid one.
 _NEAR_TOKENS = ["1_0", "\u0661", "1.0", "0x1", "1e3", "+-1", "-", "+", "5-", "#1",
@@ -174,17 +196,20 @@ _NEAR_SEPARATORS = ["\u00a0", "\x0b", "\x0c", "\x1f", "\u2003", "\r", ",", "_"]
 def svc_texts(draw):
     """SVC texts that are valid or close to it: random separators, blank
     lines, CRLF endings, header off by one, and a few tokens or columns
-    replaced, merged, dropped or added."""
+    replaced, merged, dropped or added, or a timestamp made to go back."""
     rows = draw(st.lists(st.lists(st.integers(0, 1023).map(str), min_size=7, max_size=7),
                          max_size=8))
-    for row in rows:
+    for row, timestamp in zip(rows, sorted(int(row[2]) for row in rows)):
+        row[2] = str(timestamp)
         row[3] = draw(st.sampled_from(["0", "1"]))
     for _ in range(draw(st.integers(0, 2))):
         if not rows:
             break
         row = draw(st.sampled_from(rows))
-        edit = draw(st.sampled_from(["replace", "replace", "merge", "drop", "add"]))
-        if edit == "replace":
+        edit = draw(st.sampled_from(["replace", "replace", "merge", "drop", "add", "decrease"]))
+        if edit == "decrease":
+            row[2] = "-1"  # below every drawn timestamp: a fault unless in the first row
+        elif edit == "replace":
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_NEAR_TOKENS))
         elif edit == "merge" and len(row) > 1:
             # two tokens joined by a separator outside the grammar
@@ -253,14 +278,12 @@ class TestIngestArbitraryBytes:
                 load_dataset(tmp_path)
             assert exc.value.path == str(path)
             return
+        # What the parser returns, Recording accepts and load_dataset loads.
         assert samples.dtype == np.int64 and samples.shape == (len(samples), 7)
-        try:
-            dataset = load_dataset(tmp_path)
-        except DatasetError as err:
-            assert str(err).startswith(f"{path}: ")
-        else:
-            assert dataset.keys() == [(1, 1, 1)]
-            assert np.array_equal(dataset.get(1, 1, 1).samples, samples)
+        assert np.array_equal(Recording(1, 1, 1, samples).samples, samples)
+        dataset = load_dataset(tmp_path)
+        assert dataset.keys() == [(1, 1, 1)]
+        assert np.array_equal(dataset.get(1, 1, 1).samples, samples)
 
 
 class TestSerializeSvc:
@@ -273,10 +296,17 @@ class TestSerializeSvc:
         st.integers(-30000, 30000), st.integers(-30000, 30000),
         st.integers(0, 10**7), st.integers(0, 1),
         st.integers(0, 3599), st.integers(0, 900), st.integers(0, 1023),
-    ), min_size=0, max_size=40))
+    ), min_size=1, max_size=40))
     def test_round_trip(self, rows):
+        # any array Recording accepts: N >= 1, timestamps non-decreasing
         arr = np.array(rows, dtype=np.int64).reshape(len(rows), 7)
+        arr[:, data.COL_TIMESTAMP].sort()
         assert np.array_equal(parse_svc(serialize_svc(arr)), arr)
+
+    @pytest.mark.parametrize("value", [5.7, np.nan, 1e30])
+    def test_refuses_non_integer_samples(self, value):
+        with pytest.raises(ValueError, match="must be integers that fit int64, got dtype"):
+            serialize_svc([[0.5, 0, 0, 1, 0, 0, value]])
 
 
 class TestSampleAndDevice:
@@ -308,6 +338,16 @@ class TestRecording:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no samples"):
             make_recording(pressures=())
+
+    @pytest.mark.parametrize("value", [5.7, np.nan, 1e30, 5.0])
+    def test_rejects_non_integer_samples(self, value):
+        # the dtype decides, so an integral float is refused too
+        with pytest.raises(ValueError, match="must be integers that fit int64, got dtype"):
+            Recording(1, 1, 1, [[0, 0, 0, 1, 0, 0, value]])
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match=r"\(N, 7\) array, got shape \(7,\)"):
+            Recording(1, 1, 1, np.zeros(7, dtype=np.int64))
 
     def test_rejects_decreasing_timestamps(self):
         samples = np.array([[0, 0, 10, 1, 0, 0, 5], [0, 0, 5, 1, 0, 0, 5]])
@@ -405,9 +445,10 @@ class TestDatasetIO:
         write_dataset(ds, tmp_path)
         bad = tmp_path / "subject01" / "session3" / "task4.svc"
         bad.write_text("3\n1 2 30 1 0 0 5\n1 2 30 1 0 0 5\n1 2 20 1 0 0 5\n")
-        with pytest.raises(DatasetError) as exc:
+        with pytest.raises(SvcParseError) as exc:
             load_dataset(tmp_path)
-        assert str(exc.value).startswith(f"{bad}: sample 2: timestamp 20 follows 30")
+        assert str(exc.value).startswith(f"{bad}:4: timestamp 20 follows 30")
+        assert (exc.value.path, exc.value.line) == (str(bad), 4)
 
     def test_task_directory_ignored(self, tmp_path):
         ds = generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=5))
@@ -489,7 +530,7 @@ class TestFanOut:
 
     @pytest.mark.parametrize("subject, session, content", [
         (1, 2, "1\n10 20 0 1 0 0 banana\n"),           # parse error, chunk 1
-        (2, 3, "2\n1 2 30 1 0 0 5\n1 2 20 1 0 0 5\n"),  # Recording check, chunk 7
+        (2, 3, "2\n1 2 30 1 0 0 5\n1 2 20 1 0 0 5\n"),  # timestamp fault, chunk 7
     ])
     def test_fault_in_a_child_share_matches_one_process(self, root, processes,
                                                         subject, session, content):
@@ -591,33 +632,34 @@ class TestFanOut:
 
 
 class TestCheckedOnce:
-    """Pen and pressure are checked once per array the package builds: once
-    per generated session, once per loaded file, never on unpickling."""
+    """Samples are checked once per array the package builds: once per
+    generated session, once per loaded file, never on unpickling."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         monkeypatch.setattr(data, "_process_count", lambda: 1)
         calls = []
-        check = data._invalid_sample
+        check = data._sample_fault
 
-        def counted(samples, max_level):
-            calls.append(samples.shape)
-            return check(samples, max_level)
+        def counted(block, max_level):
+            calls.append(block.shape)
+            return check(block, max_level)
 
-        monkeypatch.setattr(data, "_invalid_sample", counted)
+        monkeypatch.setattr(data, "_sample_fault", counted)
+        monkeypatch.setattr(synth, "_sample_fault", counted)
         return calls
 
     def test_generate_checks_once_per_session(self, calls):
         ds = generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=20))
         assert len(ds) == 90
-        assert calls == [(9 * 20, 7)] * 10
+        assert calls == [(9, 20, 7)] * 10
 
     def test_load_checks_once_per_file(self, tmp_path, calls):
         written = write_dataset(
             generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=20)), tmp_path)
         calls.clear()
         assert len(load_dataset(tmp_path)) == len(written) == 90
-        assert calls == [(20, 7)] * 90
+        assert calls == [(1, 20, 7)] * 90
 
     def test_unpickling_does_not_check(self, calls):
         rec = make_recording()
