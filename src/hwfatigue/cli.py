@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,8 @@ from .synth import SynthConfig, generate_dataset
 
 ANALYZE_OUTPUTS = ("table1.csv", "table1.json", "table2.csv", "table2.json",
                    "fig4_data.csv", "fig5_data.csv")
+# Start of the warning pairwise_session_tests gives for each skipped pair.
+_SKIPPED_PAIR = "task [0-9]+: skipping"
 
 _FORMAT_HELP = """\
 SVC file format (all columns integers):
@@ -152,9 +156,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if len(dataset) == 0:
         print(f"error: no recordings found under {args.input}", file=sys.stderr)
         return 1
-    outputs, results, summary = analyze_dataset(
-        dataset, feature=args.feature, alpha=args.alpha,
-        exact_threshold=args.exact_threshold)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", _SKIPPED_PAIR, UserWarning)
+        outputs, results, summary = analyze_dataset(
+            dataset, feature=args.feature, alpha=args.alpha,
+            exact_threshold=args.exact_threshold)
+    # One line for the skipped pairs, not two per pair.
+    skipped = 0
+    for w in caught:
+        if issubclass(w.category, UserWarning) and re.match(_SKIPPED_PAIR, str(w.message)):
+            skipped += 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+    if skipped:
+        warnings.warn(f"skipping {skipped} session pairs with no data for one or "
+                      "both sessions", UserWarning)
     if results and max(r.n_a for r in results) < 2:
         print("warning: fewer than 2 subjects per cell, p-values are degenerate",
               file=sys.stderr)

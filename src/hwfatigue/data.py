@@ -27,13 +27,15 @@ subject's session as the unit of work: :func:`write_dataset` and
 :func:`hwfatigue.synth.generate_dataset` (a session's nine recordings).  The
 units are spread over one process per CPU in this process's affinity set;
 there is no flag.  The calling process works through its own share while
-forked children work through theirs.  The written bytes, the returned paths
-or dataset and any error raised do not depend on the process count: a fault
-is reported as a one-process walk would report it, the first faulty unit in
-walk order.  Python 3.12 and later warn (``DeprecationWarning``) when a
-multi-threaded process forks, and importing numpy leaves its OpenBLAS
-threads running; the children only draw random numbers, parse, format and
-do file I/O, make no BLAS call, and leave through ``os._exit``.
+forked children work through theirs; each child sends its results back as
+one protocol-5 pickle once its share is done.  The written bytes, the
+returned paths or dataset and any error raised do not depend on the process
+count: a fault is reported as a one-process walk would report it, the first
+faulty unit in walk order.  Python 3.12 and later warn
+(``DeprecationWarning``) when a multi-threaded process forks, and importing
+numpy leaves its OpenBLAS threads running; the children only draw random
+numbers, parse, format and do file I/O, make no BLAS call, and leave
+through ``os._exit``.
 
 One function, :func:`_sample_fault`, checks every sample array, and every
 array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
@@ -55,7 +57,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -154,12 +156,7 @@ class Recording:
             raise ValueError(f"session_id must be in 1..5, got {self.session_id}")
         if self.task_id not in TASKS:
             raise ValueError(f"task_id must be in 1..9, got {self.task_id}")
-        arr = _int64_rows(self.samples, copy=True)
-        if len(arr) == 0:
-            raise ValueError("recording has no samples")
-        fault = _sample_fault(arr[None], self.device.max_level)
-        if fault is not None:
-            raise ValueError(f"sample {fault[1]}: {fault[2]}")
+        arr = _checked_rows(self.samples, self.device.max_level, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -239,16 +236,23 @@ class Dataset:
             yield self._recordings[key]
 
 
-def _int64_rows(samples, copy: bool) -> np.ndarray:
+def _checked_rows(samples, max_level: int, copy: bool) -> np.ndarray:
     """``samples`` as an (N, 7) int64 array, copied if ``copy`` or the dtype
-    differs.  ValueError for another shape, or for a dtype that does not cast
-    exactly to int64 (floats: a NaN or a 5.7 would become some integer)."""
+    differs.  ValueError for another shape, for a dtype that does not cast
+    exactly to int64 (floats: a NaN or a 5.7 would become some integer), for
+    N < 1 and for the first sample :func:`_sample_fault` finds."""
     arr = np.asarray(samples)
     if arr.ndim != 2 or arr.shape[1] != N_COLUMNS:
         raise ValueError(f"samples must be an (N, {N_COLUMNS}) array, got shape {arr.shape}")
     if arr.size and not np.can_cast(arr.dtype, np.int64):
         raise ValueError(f"samples must be integers that fit int64, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=copy)
+    if len(arr) == 0:
+        raise ValueError("recording has no samples")
+    arr = arr.astype(np.int64, copy=copy)
+    fault = _sample_fault(arr[None], max_level)
+    if fault is not None:
+        raise ValueError(f"sample {fault[1]}: {fault[2]}")
+    return arr
 
 
 def _sample_fault(block: np.ndarray, max_level: int) -> tuple[int, int, str] | None:
@@ -427,11 +431,18 @@ def serialize_svc(samples) -> str:
     """Render an (N, 7) integer sample array in canonical SVC text: count
     header, one space-separated row per sample, LF line endings.
 
-    The text of any array ``Recording`` accepts round-trips bit-exactly
-    through :func:`parse_svc`; values are not checked here.
+    Raises ValueError for an array no device accepts: N < 1, a pen status
+    other than 0/1, a negative pressure or a decreasing timestamp.  The
+    device's pressure ceiling is checked when the text is read.  The text of
+    any array ``Recording`` accepts round-trips bit-exactly through
+    :func:`parse_svc`.
     """
-    arr = _int64_rows(samples, copy=False)
-    return f"{arr.shape[0]}\n" + (_ROW_FORMAT * arr.shape[0]) % tuple(arr.ravel().tolist())
+    return _svc_text(_checked_rows(samples, _INT64.max, copy=False))
+
+
+def _svc_text(samples: np.ndarray) -> str:
+    """:func:`serialize_svc` of an (N, 7) int64 array already checked."""
+    return f"{len(samples)}\n" + (_ROW_FORMAT * len(samples)) % tuple(samples.ravel().tolist())
 
 
 def recording_path(root: Path, subject_id: int, session_id: int, task_id: int) -> Path:
@@ -505,7 +516,7 @@ def _write_session(recordings: list[Recording], root: Path) -> list[Path]:
     paths = [recording_path(root, *recording.key) for recording in recordings]
     paths[0].parent.mkdir(parents=True, exist_ok=True)
     for recording, path in zip(recordings, paths):
-        path.write_text(serialize_svc(recording.samples), newline="\n")
+        path.write_text(_svc_text(recording.samples), newline="\n")
     return paths
 
 
@@ -526,12 +537,11 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     The calling process runs share 0 itself and ``n - 1`` forked children
     run the others, so no more processes are busy than there are CPUs.
     ``fn`` and the chunks reach the children through fork and are never
-    pickled.  Each child keeps its results until its share is done, then
-    sends one message per chunk (:func:`_send`), so the caller receives one
-    chunk's result at a time.  Every process stops at its first failing
-    chunk; once all outcomes are in and every child is reaped, the failure
-    of the earliest chunk is raised, which is the one ``n = 1`` (run
-    inline) would raise.
+    pickled.  Every process runs its share up to its first failing chunk
+    (:func:`_outcomes`); each child sends its outcomes as one protocol-5
+    pickle once its share is done.  Once all are in and every child is
+    reaped, the failure of the earliest chunk is raised, which is the one
+    ``n = 1`` (run inline) would raise.
     """
     n = min(_process_count(), len(chunks))
     if n <= 1:
@@ -540,8 +550,6 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
 
     context = multiprocessing.get_context("fork")
     workers = []
-    results = [None] * len(chunks)
-    failures: dict[int, Exception] = {}  # chunk index -> its error
     try:
         for k in range(1, n):
             read_fd, write_fd = os.pipe()
@@ -550,38 +558,32 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
             worker.start()
             os.close(write_fd)
             workers.append((worker, open(read_fd, "rb")))
-        for i in range(0, len(chunks), n):
+        shares = [_outcomes(fn, chunks[0::n])]
+        for worker, pipe in workers:
             try:
-                results[i] = fn(chunks[i])
-            except Exception as err:
-                failures[i] = err
-                break
-        for k, (worker, pipe) in enumerate(workers, start=1):
-            for i in range(k, len(chunks), n):
-                try:
-                    ok, value = _receive(pipe)
-                except EOFError:
-                    worker.join()
-                    failures[i] = OSError(f"worker process exited with code "
-                                          f"{worker.exitcode} before reporting its results")
-                    break
-                if not ok:
-                    failures[i] = value
-                    break
-                results[i] = value
+                shares.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                worker.join()
+                shares.append([(False, OSError(f"worker process exited with code "
+                                               f"{worker.exitcode} before reporting its results"))])
     finally:
         for worker, pipe in workers:
             pipe.close()
             worker.join()
-    if failures:
-        raise failures[min(failures)]
+    # A share's outcomes end at its first failure, so walking the chunks in
+    # order meets a failure before it would pass the end of any share.
+    results = []
+    for i in range(len(chunks)):
+        ok, value = shares[i % n][i // n]
+        if not ok:
+            raise value
+        results.append(value)
     return results
 
 
-def _run_share(fn: Callable, share: Sequence, fd: int) -> None:
-    """Body of a forked child: run ``fn`` over ``share`` up to its first
-    failure, then send ``(True, result)`` or ``(False, error)`` per chunk run
-    to the pipe end ``fd``."""
+def _outcomes(fn: Callable, share: Sequence) -> list[tuple[bool, object]]:
+    """``(True, fn(chunk))`` for each chunk of ``share`` up to its first
+    failure, which ends the list as ``(False, error)``."""
     outcomes = []
     for chunk in share:
         try:
@@ -589,35 +591,13 @@ def _run_share(fn: Callable, share: Sequence, fd: int) -> None:
         except Exception as err:
             outcomes.append((False, err))
             break
+    return outcomes
+
+
+def _run_share(fn: Callable, share: Sequence, fd: int) -> None:
+    """Body of a forked child: write the :func:`_outcomes` of ``share`` to
+    the pipe end ``fd`` as one protocol-5 pickle.  The pickler writes each
+    array's data straight from its memory and the caller's unpickler reads
+    it into the new array, so it is not copied on the way."""
     with open(fd, "wb") as pipe:
-        for outcome in outcomes:
-            _send(pipe, outcome)
-
-
-def _send(pipe: BinaryIO, value) -> None:
-    """Write ``value`` to ``pipe`` as a pickle whose array data travel out of
-    band (protocol 5): a length-prefixed frame naming each buffer's size,
-    then the buffers straight from the arrays' memory."""
-    buffers = []
-    head = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
-    raw = [buffer.raw() for buffer in buffers]
-    frame = pickle.dumps((head, [part.nbytes for part in raw]))
-    pipe.write(len(frame).to_bytes(8, "little") + frame)
-    for part in raw:
-        pipe.write(part)
-
-
-def _receive(pipe: BinaryIO):
-    """Read one :func:`_send` value from ``pipe``.  Each array's data is read
-    once, into memory the array then owns; EOFError if the pipe ends first."""
-    header = _read_into(pipe, bytearray(8))
-    head, sizes = pickle.loads(_read_into(pipe, bytearray(int.from_bytes(header, "little"))))
-    buffers = [_read_into(pipe, np.empty(nbytes, dtype=np.uint8)) for nbytes in sizes]
-    return pickle.loads(head, buffers=buffers)
-
-
-def _read_into(pipe: BinaryIO, buffer):
-    """Fill ``buffer`` from ``pipe`` and return it; EOFError if the pipe ends first."""
-    if pipe.readinto(buffer) < len(buffer):
-        raise EOFError
-    return buffer
+        pickle.dump(_outcomes(fn, share), pipe, protocol=5)

@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,30 @@ class TestAnalyzeCommand:
             capsys, "analyze", "--input", str(ds), "--output", str(tmp_path / "res"))
         assert code == 0
         assert "degenerate" in stderr
+
+    def test_skipped_pairs_give_one_warning(self, tmp_path, capsys):
+        # One recording: every one of the 9 x 10 session pairs lacks data.
+        ds = generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=20))
+        write_dataset(Dataset([ds.get(1, 1, 1)]), tmp_path / "ds")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(capsys, "analyze", "--input", str(tmp_path / "ds"),
+                                 "--output", str(tmp_path / "res"))
+        assert code == 0
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "skipping 90 session pairs with no data for one or both sessions")]
+
+    def test_other_warnings_pass_through(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def warn_and_analyze(*args, **kwargs):
+            warnings.warn("something else", RuntimeWarning)
+            return analyze(*args, **kwargs)
+
+        analyze = cli.analyze_dataset
+        monkeypatch.setattr(cli, "analyze_dataset", warn_and_analyze)
+        with pytest.warns(RuntimeWarning, match="something else"):
+            code, _, _ = run_cli(capsys, "analyze", "--input", str(dataset_dir),
+                                 "--output", str(tmp_path / "res"))
+        assert code == 0
 
     def test_alpha_flag_changes_flags(self, dataset_dir, tmp_path, capsys):
         strict = tmp_path / "strict"

@@ -1,6 +1,9 @@
 import io
 import multiprocessing
+import os
 import pickle
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -308,6 +311,25 @@ class TestSerializeSvc:
         with pytest.raises(ValueError, match="must be integers that fit int64, got dtype"):
             serialize_svc([[0.5, 0, 0, 1, 0, 0, value]])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([], "recording has no samples"),
+        ([[0, 0, 30, 1, 0, 0, 5], [0, 0, 20, 1, 0, 0, 5]],
+         "sample 1: timestamp 20 follows 30, timestamps must be non-decreasing"),
+        ([[0, 0, 0, 1, 0, 0, -3]], "sample 0: pressure -3 outside"),
+        ([[0, 0, 0, 1, 0, 0, 5], [0, 0, 0, 2, 0, 0, 5]],
+         "sample 1: pen_status must be 0 or 1, got 2"),
+    ])
+    def test_refuses_arrays_no_device_accepts(self, rows, message):
+        # Each of these used to be written, then refused by parse_svc.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize_svc(np.array(rows, dtype=np.int64).reshape(len(rows), 7))
+
+    def test_pressure_ceiling_is_checked_on_read(self):
+        text = serialize_svc([[0, 0, 0, 1, 0, 0, 5000]])
+        with pytest.raises(SvcParseError, match="pressure 5000 outside"):
+            parse_svc(text)
+        assert parse_svc(text, DeviceProfile(max_level=8191))[0, data.COL_PRESSURE] == 5000
+
 
 class TestSampleAndDevice:
     def test_device_validation(self):
@@ -491,6 +513,20 @@ def _dataset_arrays(config):
     return [(rec.key, rec.samples.tolist()) for rec in generate_dataset(config)]
 
 
+class _ExitWhenPickled:
+    """Ends the process that pickles it with exit code 5: at once, or
+    ``delay`` seconds later from a timer thread while pickling goes on."""
+
+    def __init__(self, delay=None):
+        self.delay = delay
+
+    def __reduce__(self):
+        if self.delay is None:
+            os._exit(5)
+        threading.Timer(self.delay, os._exit, (5,)).start()
+        return int, ()
+
+
 class TestFanOut:
     """``write_dataset``, ``load_dataset`` and ``generate_dataset`` give the
     same files, results and errors whatever the process count; the count is
@@ -578,18 +614,28 @@ class TestFanOut:
             in_worker = pool.apply_async(_dataset_arrays, (config,)).get(timeout=60)
         assert in_worker == _dataset_arrays(config)
 
-    def test_message_round_trip_and_truncation(self):
-        rec = make_recording()
-        stream = io.BytesIO()
-        data._send(stream, (True, [rec, recording_path(".", *rec.key)]))
-        message = stream.getvalue()
-        ok, (copy, path) = data._receive(io.BytesIO(message))
-        assert ok and copy.key == rec.key and path == recording_path(".", *rec.key)
-        assert np.array_equal(copy.samples, rec.samples)
-        assert not copy.samples.flags.writeable
-        for cut in (0, 5, 8, 20, len(message) - 1):
-            with pytest.raises(EOFError):
-                data._receive(io.BytesIO(message[:cut]))
+    @pytest.mark.parametrize("delay", [None, 0.3], ids=["between_opcodes", "inside_data"])
+    def test_child_dying_mid_message_is_an_error(self, processes, delay):
+        # The child exits while it pickles chunk 1's outcome: right after the
+        # array's data (delay None, the pickle ends between two opcodes), or
+        # from a timer while the array's data fills the pipe, which the
+        # caller reads only once the child is gone (the pickle ends inside
+        # the data).
+        def fn(chunk):
+            if chunk == 0:
+                if delay is not None:
+                    for child in multiprocessing.active_children():
+                        child.join(timeout=60)
+                return None
+            array = np.zeros((9, 2000, 7), dtype=np.int64)
+            return [array, _ExitWhenPickled()] if delay is None else [
+                _ExitWhenPickled(delay), array]
+
+        processes(2)
+        with pytest.raises(OSError) as exc:
+            data._fan_out(fn, [0, 1])
+        assert str(exc.value) == "worker process exited with code 5 before reporting its results"
+        assert multiprocessing.active_children() == []
 
     def test_generate_same_recordings_for_any_count(self, processes):
         config = SynthConfig(n_subjects=3, samples_per_recording=30, seed=9)
@@ -633,7 +679,8 @@ class TestFanOut:
 
 class TestCheckedOnce:
     """Samples are checked once per array the package builds: once per
-    generated session, once per loaded file, never on unpickling."""
+    generated session, once per loaded file, never on writing or
+    unpickling."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -660,6 +707,12 @@ class TestCheckedOnce:
         calls.clear()
         assert len(load_dataset(tmp_path)) == len(written) == 90
         assert calls == [(1, 20, 7)] * 90
+
+    def test_write_does_not_check(self, tmp_path, calls):
+        ds = generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=20))
+        calls.clear()
+        assert len(write_dataset(ds, tmp_path)) == 90
+        assert calls == []
 
     def test_unpickling_does_not_check(self, calls):
         rec = make_recording()
