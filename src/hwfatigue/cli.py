@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .data import (MAX_SUBJECT_ID, Dataset, DeviceProfile, load_dataset, read_svc,
-                   write_dataset, Recording)
+from .data import (MAX_PRESSURE_LEVEL, MAX_SUBJECT_ID, Dataset, DatasetError,
+                   DeviceProfile, load_dataset, read_svc, write_dataset, Recording)
 from .features import extract_features
 from .report import (FEATURES, aggregate, render_fig_data_csv, render_table1_csv,
                      render_table1_json, render_table2_csv, render_table2_json,
@@ -33,8 +31,6 @@ from .synth import SynthConfig, generate_dataset
 
 ANALYZE_OUTPUTS = ("table1.csv", "table1.json", "table2.csv", "table2.json",
                    "fig4_data.csv", "fig5_data.csv")
-# Start of the warning pairwise_session_tests gives for each skipped pair.
-_SKIPPED_PAIR = "task [0-9]+: skipping"
 
 _FORMAT_HELP = """\
 SVC file format (all columns integers):
@@ -132,8 +128,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     outdir = Path(args.output)
     _check_output_dir(outdir)
     if outdir.is_dir() and any(outdir.iterdir()):
-        print(f"error: {outdir}: output directory is not empty", file=sys.stderr)
-        return 1
+        raise FileExistsError(f"{outdir}: output directory is not empty")
     config = SynthConfig(
         n_subjects=args.subjects,
         samples_per_recording=args.samples,
@@ -154,27 +149,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (outdir / name).unlink(missing_ok=True)
     dataset = load_dataset(args.input, DeviceProfile(max_level=args.sat_level))
     if len(dataset) == 0:
-        print(f"error: no recordings found under {args.input}", file=sys.stderr)
-        return 1
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("always", _SKIPPED_PAIR, UserWarning)
-        outputs, results, summary = analyze_dataset(
-            dataset, feature=args.feature, alpha=args.alpha,
-            exact_threshold=args.exact_threshold)
-    # One line for the skipped pairs, not two per pair.
-    skipped = 0
-    for w in caught:
-        if issubclass(w.category, UserWarning) and re.match(_SKIPPED_PAIR, str(w.message)):
-            skipped += 1
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                                   source=w.source)
-    if skipped:
-        warnings.warn(f"skipping {skipped} session pairs with no data for one or "
-                      "both sessions", UserWarning)
-    if results and max(r.n_a for r in results) < 2:
-        print("warning: fewer than 2 subjects per cell, p-values are degenerate",
-              file=sys.stderr)
+        raise DatasetError(f"no recordings found under {args.input}")
+    outputs, _, summary = analyze_dataset(dataset, feature=args.feature, alpha=args.alpha,
+                                          exact_threshold=args.exact_threshold)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
         (outdir / name).write_text(text, newline="\n")
@@ -218,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with the format reference and the device ceiling flag."""
         p = sub.add_parser(name, help=summary, epilog=_FORMAT_HELP,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.add_argument("--sat-level", type=int, default=1023,
-                       help="device max pressure level (default 1023)")
+        p.add_argument("--sat-level", type=_int_flag(low=1, high=MAX_PRESSURE_LEVEL),
+                       default=1023,
+                       help="device max pressure level, at least 1 (default 1023)")
         p.set_defaults(func=func)
         return p
 

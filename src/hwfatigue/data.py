@@ -65,6 +65,8 @@ SESSIONS = (1, 2, 3, 4, 5)
 TASKS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 # Largest subject id the two-digit subject<NN> layout can hold.
 MAX_SUBJECT_ID = 99
+# Largest device ceiling: no int64 sample and no SVC token can exceed it.
+MAX_PRESSURE_LEVEL = int(np.iinfo(np.int64).max)
 
 # Column order of an SVC row and of Recording.samples.
 COL_X = 0
@@ -128,8 +130,9 @@ class DeviceProfile:
     force_at_max: float = 45.0
 
     def __post_init__(self) -> None:
-        if self.max_level <= 0:
-            raise ValueError(f"max_level must be positive, got {self.max_level}")
+        if not 0 < self.max_level <= MAX_PRESSURE_LEVEL:
+            raise ValueError(f"max_level must lie in [1, {MAX_PRESSURE_LEVEL}], "
+                             f"got {self.max_level}")
         if self.force_at_max <= 0:
             raise ValueError(f"force_at_max must be positive, got {self.force_at_max}")
 
@@ -437,7 +440,7 @@ def serialize_svc(samples) -> str:
     any array ``Recording`` accepts round-trips bit-exactly through
     :func:`parse_svc`.
     """
-    return _svc_text(_checked_rows(samples, _INT64.max, copy=False))
+    return _svc_text(_checked_rows(samples, MAX_PRESSURE_LEVEL, copy=False))
 
 
 def _svc_text(samples: np.ndarray) -> str:

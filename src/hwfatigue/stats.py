@@ -195,10 +195,13 @@ def pairwise_session_tests(
     ``values_by_cell`` maps (task_id, session_id) to the per-subject feature
     values of that cell.  For every task present, one comparison is emitted
     per session pair in :data:`SESSION_PAIRS` order (10 pairs when all five
-    sessions have data).  A pair whose cells lack values is skipped with a
-    warning.
+    sessions have data).  Pairs whose cells lack values are skipped, and one
+    ``UserWarning`` per call gives their count.  A second ``UserWarning``
+    says the p-values are degenerate when every tested cell holds fewer than
+    2 values.
     """
     results: list[TestResult] = []
+    skipped = 0
     tasks = sorted({task for task, _ in values_by_cell})
     for task in tasks:
         cells = {session: np.asarray(values_by_cell[(task, session)], dtype=np.float64)
@@ -207,12 +210,15 @@ def pairwise_session_tests(
             va = cells.get(session_a)
             vb = cells.get(session_b)
             if va is None or va.size == 0 or vb is None or vb.size == 0:
-                warnings.warn(
-                    f"task {task}: skipping S{session_a}-S{session_b}, "
-                    "no data for one or both sessions",
-                    stacklevel=2)
+                skipped += 1
                 continue
             r = ranksum(va, vb, exact_threshold=exact_threshold)
             results.append(TestResult(task_id=task, session_a=session_a,
                                       session_b=session_b, **vars(r)))
+    if skipped:
+        warnings.warn(f"skipping {skipped} session pairs with no data for one or "
+                      "both sessions", UserWarning, stacklevel=2)
+    if results and all(r.n_a < 2 and r.n_b < 2 for r in results):
+        warnings.warn("fewer than 2 subjects per cell, p-values are degenerate",
+                      UserWarning, stacklevel=2)
     return results

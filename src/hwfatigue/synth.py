@@ -227,7 +227,10 @@ def _generate_samples(config: SynthConfig, subject_id: int, session_id: int,
     samples[..., [COL_X, COL_Y, COL_AZIMUTH, COL_ALTITUDE]] = values[:, 1:].transpose(0, 2, 1)
     samples[..., COL_TIMESTAMP] = np.arange(n) * _TIMESTAMP_STEP_MS
     samples[..., COL_PEN_STATUS] = 1
-    samples[..., COL_PRESSURE] = np.where(uniforms < p_sat[:, None], max_level, values[:, 0])
+    # The ceiling is set through the mask, never through float64, so it is exact.
+    pressure = samples[..., COL_PRESSURE]
+    pressure[...] = values[:, 0]
+    pressure[uniforms < p_sat[:, None]] = max_level
     return samples
 
 

@@ -69,13 +69,6 @@ class TestSynthCommand:
         assert len(lines) == 31
         assert all(len(line.split()) == 7 for line in lines[1:])
 
-    def test_invalid_config_reports_error(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        code, _, stderr = run_cli(capsys, "synth", "--output", str(out), "--sat-level", "0")
-        assert code == 1
-        assert stderr.startswith("error:")
-        assert not out.exists()
-
     def test_non_empty_output_refused(self, tmp_path, capsys):
         out = tmp_path / "ds"
         stale = out / "subject07" / "session1" / "task1.svc"
@@ -111,6 +104,7 @@ class TestSynthCommand:
         ("--subjects", "100"), ("--subjects", "120"), ("--subjects", "x"),
         ("--subjects", "0"), ("--subjects", "-3"),
         ("--samples", "0"), ("--samples", "-5"),
+        ("--sat-level", "0"), ("--sat-level", "9223372036854775808"),
     ])
     def test_invalid_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "ds"
@@ -245,6 +239,19 @@ class TestAnalyzeCommand:
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "keep\n"
 
+    def test_invalid_sat_level_rerun_keeps_artifacts(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run_cli(capsys, "analyze", "--input", str(dataset_dir),
+                       "--output", str(out))[0] == 0
+        before = read_tree(out)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", str(dataset_dir), "--output", str(out),
+                  "--sat-level", "0"])
+        assert exc.value.code == 2
+        assert "argument --sat-level: must be at least 1, got 0" in capsys.readouterr().err
+        assert sorted(before) == sorted(ANALYZE_OUTPUTS)
+        assert read_tree(out) == before
+
     def test_worker_exiting_without_results_is_an_error(self, dataset_dir, tmp_path,
                                                         capsys, monkeypatch):
         caller, read = os.getpid(), data.read_svc
@@ -267,6 +274,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "7"), ("--alpha", "1"), ("--alpha", "0"), ("--alpha", "-0.1"),
         ("--alpha", "nan"), ("--exact-threshold", "-1"), ("--exact-threshold", "2.5"),
+        ("--sat-level", "0"), ("--sat-level", "9223372036854775808"),
     ])
     def test_invalid_flag_exits_2_and_writes_nothing(self, dataset_dir, tmp_path,
                                                      capsys, flag, value):
@@ -295,10 +303,11 @@ class TestAnalyzeCommand:
     def test_single_subject_warns(self, tmp_path, capsys):
         ds = tmp_path / "solo"
         run_cli(capsys, *synth_args(ds, subjects=1, samples=50))
-        code, stdout, stderr = run_cli(
-            capsys, "analyze", "--input", str(ds), "--output", str(tmp_path / "res"))
+        with pytest.warns(UserWarning, match="fewer than 2 subjects per cell, "
+                                             "p-values are degenerate"):
+            code, _, _ = run_cli(
+                capsys, "analyze", "--input", str(ds), "--output", str(tmp_path / "res"))
         assert code == 0
-        assert "degenerate" in stderr
 
     def test_skipped_pairs_give_one_warning(self, tmp_path, capsys):
         # One recording: every one of the 9 x 10 session pairs lacks data.
@@ -323,6 +332,13 @@ class TestAnalyzeCommand:
             code, _, _ = run_cli(capsys, "analyze", "--input", str(dataset_dir),
                                  "--output", str(tmp_path / "res"))
         assert code == 0
+
+    def test_unknown_feature_refused_before_work(self, monkeypatch):
+        monkeypatch.setattr(cli, "aggregate", pytest.fail)
+        with pytest.raises(ValueError) as exc:
+            cli.analyze_dataset(Dataset(), feature="speed")
+        assert str(exc.value) == ("unknown feature 'speed', expected one of "
+                                  f"{cli.FEATURES}")
 
     def test_alpha_flag_changes_flags(self, dataset_dir, tmp_path, capsys):
         strict = tmp_path / "strict"

@@ -338,6 +338,13 @@ class TestSampleAndDevice:
         with pytest.raises(ValueError):
             DeviceProfile(force_at_max=-1.0)
 
+    def test_ceiling_fits_int64(self):
+        assert DeviceProfile(max_level=data.MAX_PRESSURE_LEVEL).max_level == 2**63 - 1
+        with pytest.raises(ValueError) as exc:
+            DeviceProfile(max_level=2**63)
+        assert str(exc.value) == ("max_level must lie in [1, 9223372036854775807], "
+                                  "got 9223372036854775808")
+
 
 class TestRecording:
     def test_column_views(self):

@@ -320,7 +320,7 @@ class TestPinnedArtifacts:
     def test_sparse_campaign_digests(self):
         full = small_dataset(n_subjects=3, samples=120, seed=13)
         dataset = Dataset(r for r in full if self.kept(r))
-        with pytest.warns(UserWarning, match="task 6: skipping S1-"):
+        with pytest.warns(UserWarning, match="skipping 4 session pairs"):
             outputs, results, summary = analyze_dataset(dataset, alpha=0.25)
         assert len(dataset) == 121 and len(results) == 86
         assert {name: hashlib.sha256(text.encode()).hexdigest()

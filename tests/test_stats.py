@@ -265,9 +265,16 @@ class TestPairwiseSessionTests:
             results = pairwise_session_tests(cells)
         assert len(results) == 6
         assert all(4 not in (r.session_a, r.session_b) for r in results)
-        messages = [str(w.message) for w in caught]
-        assert len(messages) == 4
-        assert all("S4" in m and "skipping" in m for m in messages)
+        assert [str(w.message) for w in caught] == [
+            "skipping 4 session pairs with no data for one or both sessions"]
+
+    def test_single_value_cells_warn_degenerate(self):
+        cells = self.full_grid(np.random.default_rng(35), tasks=[1, 2], n=1)
+        with pytest.warns(UserWarning) as caught:
+            results = pairwise_session_tests(cells)
+        assert len(results) == 20
+        assert [str(w.message) for w in caught] == [
+            "fewer than 2 subjects per cell, p-values are degenerate"]
 
     def test_empty_cell_skipped(self):
         cells = self.full_grid(np.random.default_rng(33), tasks=[1])

@@ -151,6 +151,16 @@ class TestGenerateRecording:
         assert rec.pressure.max() <= 511
         assert np.any(rec.pressure == 511)
 
+    def test_ceiling_exact_beyond_float64(self):
+        # 2**53 + 1 has no float64 value: a ceiling passed through float64 misses it.
+        def saturated(max_level):
+            config = SynthConfig(n_subjects=1, device=DeviceProfile(max_level=max_level))
+            return generate_recording(config, 1, 4, 1).pressure
+
+        at_ceiling = saturated(1023) == 1023
+        assert at_ceiling.any()
+        assert np.array_equal(saturated(2**53 + 1) == 2**53 + 1, at_ceiling)
+
     def test_rejects_out_of_range_ids(self):
         config = SynthConfig(n_subjects=3, samples_per_recording=10)
         with pytest.raises(ValueError, match="subject_id"):
