@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (MAX_PRESSURE_LEVEL, MAX_SUBJECT_ID, Dataset, DatasetError,
-                   DeviceProfile, load_dataset, read_svc, write_dataset, Recording)
+                   DeviceProfile, _recording, load_dataset, read_svc, write_dataset)
 from .features import extract_features
 from .report import (FEATURES, aggregate, render_fig_data_csv, render_table1_csv,
                      render_table1_json, render_table2_csv, render_table2_json,
@@ -162,10 +162,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     device = DeviceProfile(max_level=args.sat_level)
-    samples = read_svc(args.input, device)
-    # Identity fields are irrelevant for single-file inspection.
-    recording = Recording(1, 1, 1, samples, device)
-    fv = extract_features(recording, pen_down_only=args.pen_down_only)
+    # read_svc checked the array; the identity fields are irrelevant here.
+    recording = _recording(1, 1, 1, read_svc(args.input, device), device)
+    try:
+        fv = extract_features(recording, pen_down_only=args.pen_down_only)
+    except ValueError as err:  # a file too short, or with no pen-down sample
+        raise ValueError(f"{args.input}: {err}") from None
 
     def abs_summary(series: np.ndarray) -> dict:
         a = np.abs(series)

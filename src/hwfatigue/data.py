@@ -43,6 +43,8 @@ returns exactly the arrays the public constructor accepts, which copies and
 checks the caller's array; arrays the package builds and checks itself
 (parsed files, generated sessions, recordings unpickled from a child) are
 wrapped by a private constructor without a copy or a second check.
+Likewise one function, :func:`_int_in`, checks each integer field a caller
+passes in: a device ceiling, a recording id, a synthesis count or seed.
 """
 
 from __future__ import annotations
@@ -118,23 +120,30 @@ class PenStatus(enum.IntEnum):
     DOWN = 1
 
 
+def _int_in(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a plain int.  ValueError naming ``name`` unless it is a
+    Python or numpy integer (a bool is not) in ``[low, high]``; ``high=None``
+    leaves the top of the range open, and ``low=None`` the whole range."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low or high is not None and value > high:
+        span = f"lie in [{low}, {high}]" if high is not None else f"be at least {low}"
+        raise ValueError(f"{name} must {span}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Pressure range of the acquisition tablet.
-
-    ``force_at_max`` is the physical force density (Newton/mm^2) at which the
-    sensor saturates, i.e. the force corresponding to level ``max_level``.
-    """
+    """The acquisition tablet's pressure ceiling: ``max_level`` is the
+    largest level its sensor reports, an integer in
+    ``[1, MAX_PRESSURE_LEVEL]``.  A sample at that level is saturated."""
 
     max_level: int = 1023
-    force_at_max: float = 45.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.max_level <= MAX_PRESSURE_LEVEL:
-            raise ValueError(f"max_level must lie in [1, {MAX_PRESSURE_LEVEL}], "
-                             f"got {self.max_level}")
-        if self.force_at_max <= 0:
-            raise ValueError(f"force_at_max must be positive, got {self.force_at_max}")
+        object.__setattr__(self, "max_level",
+                           _int_in("max_level", self.max_level, 1, MAX_PRESSURE_LEVEL))
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,9 @@ class Recording:
 
     ``samples`` is an (N, 7) int64 array in SVC column order; the per-channel
     properties below expose read-only column views.  The array is frozen at
-    construction so recordings can be shared across threads.
+    construction so recordings can be shared across threads.  The ids are
+    integers: ``subject_id`` at least 1, ``session_id`` in :data:`SESSIONS`
+    and ``task_id`` in :data:`TASKS`.
     """
 
     subject_id: int
@@ -153,12 +164,9 @@ class Recording:
     device: DeviceProfile = field(default_factory=DeviceProfile)
 
     def __post_init__(self) -> None:
-        if self.subject_id < 1:
-            raise ValueError(f"subject_id must be positive, got {self.subject_id}")
-        if self.session_id not in SESSIONS:
-            raise ValueError(f"session_id must be in 1..5, got {self.session_id}")
-        if self.task_id not in TASKS:
-            raise ValueError(f"task_id must be in 1..9, got {self.task_id}")
+        for name, high in (("subject_id", None), ("session_id", SESSIONS[-1]),
+                           ("task_id", TASKS[-1])):
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), 1, high))
         arr = _checked_rows(self.samples, self.device.max_level, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)

@@ -2,7 +2,9 @@
 
 The saturation ratio is the fraction of pressure samples at or above the
 sensor ceiling; a saturated sample means the true applied force met or
-exceeded what the device can represent.  Speed is the first difference of a
+exceeded what the device can represent.  The device enters only through
+that ceiling (``DeviceProfile.max_level``); pressures stay device levels and
+are never converted to physical units.  Speed is the first difference of a
 coordinate series with a unit (one sample interval) denominator.
 
 By default every feature runs over the full sample vector, pen-up events
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DeviceProfile, PenStatus, Recording
+from .data import PenStatus, Recording
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,18 +61,6 @@ def first_difference(f) -> np.ndarray:
     if a.size < 2:
         raise ValueError("first difference needs at least 2 samples")
     return np.diff(a)
-
-
-def level_to_force(level: float, device: DeviceProfile = DeviceProfile()) -> float:
-    """Convert a pressure level to Newton/mm^2.
-
-    Assumes a linear map anchored at (0, 0) and (max_level, force_at_max);
-    only the saturation endpoint is device-calibrated, the linear shape in
-    between is this library's modelling choice.
-    """
-    if not 0 <= level <= device.max_level:
-        raise ValueError(f"level {level} outside [0, {device.max_level}]")
-    return level / device.max_level * device.force_at_max
 
 
 def extract_features(recording: Recording, pen_down_only: bool = False) -> FeatureVector:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
                    COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS,
-                   _fan_out, _recording, _sample_fault)
+                   _fan_out, _int_in, _recording, _sample_fault)
 
 _PRESSURE_MEAN = 600.0
 _PRESSURE_SD = 150.0
@@ -54,9 +54,10 @@ _AZIMUTH_BASE, _AZIMUTH_SD = 1800, 30.0
 _ALTITUDE_BASE, _ALTITUDE_SD = 600, 20.0
 
 
-def _per_task(value: float | Mapping[int, float]) -> dict[int, float]:
+def _per_task(name: str, value: float | Mapping[int, float]) -> dict[int, float]:
     if isinstance(value, Mapping):
-        return {int(t): float(v) for t, v in value.items()}
+        return {_int_in(f"{name} task", t, TASKS[0], TASKS[-1]): float(v)
+                for t, v in value.items()}
     return {t: float(value) for t in TASKS}
 
 
@@ -65,7 +66,9 @@ class SynthConfig:
     """Shape and effect sizes of a synthetic dataset.
 
     ``base_saturation`` and ``fatigue_multiplier`` accept either a single
-    float applied to all nine tasks or a per-task mapping.
+    float applied to all nine tasks or a per-task mapping.  The counts, the
+    seed and every session or task id must be integers; a numpy integer is
+    stored as a plain int.
     """
 
     n_subjects: int = 21
@@ -78,20 +81,15 @@ class SynthConfig:
     device: DeviceProfile = field(default_factory=DeviceProfile)
 
     def __post_init__(self) -> None:
-        if self.n_subjects < 1:
-            raise ValueError(f"n_subjects must be positive, got {self.n_subjects}")
-        if self.samples_per_recording < 1:
-            raise ValueError(
-                f"samples_per_recording must be positive, got {self.samples_per_recording}")
-        object.__setattr__(self, "base_saturation", _per_task(self.base_saturation))
-        object.__setattr__(self, "fatigue_multiplier", _per_task(self.fatigue_multiplier))
-        object.__setattr__(self, "fatigue_sessions", frozenset(int(s) for s in self.fatigue_sessions))
-        object.__setattr__(self, "high_variation_tasks",
-                           frozenset(int(t) for t in self.high_variation_tasks))
-        if not self.fatigue_sessions <= set(SESSIONS):
-            raise ValueError(f"fatigue_sessions must be within {SESSIONS}")
-        if not self.high_variation_tasks <= set(TASKS):
-            raise ValueError(f"high_variation_tasks must be within {TASKS}")
+        # The seed is spelled into every stream key, so a seed of 1.0 or True
+        # would key other streams than 1.
+        for name, low in (("n_subjects", 1), ("samples_per_recording", 1), ("seed", None)):
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), low))
+        for name, ids in (("fatigue_sessions", SESSIONS), ("high_variation_tasks", TASKS)):
+            object.__setattr__(self, name, frozenset(_int_in(name, i, ids[0], ids[-1])
+                                                     for i in getattr(self, name)))
+        for name in ("base_saturation", "fatigue_multiplier"):
+            object.__setattr__(self, name, _per_task(name, getattr(self, name)))
         for task in TASKS:
             base = self.base_saturation.get(task)
             mult = self.fatigue_multiplier.get(task)
@@ -121,7 +119,6 @@ class SynthConfig:
             "high_variation_tasks": sorted(self.high_variation_tasks),
             "seed": self.seed,
             "max_level": self.device.max_level,
-            "force_at_max": self.device.force_at_max,
         }
 
 
@@ -258,10 +255,9 @@ def _session_recordings(config: SynthConfig, task_ids, session: tuple[int, int],
 def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
                        task_id: int) -> Recording:
     """Generate one recording, deterministic in (seed, subject, session, task)."""
-    if not 1 <= subject_id <= config.n_subjects:
-        raise ValueError(f"subject_id must be in 1..{config.n_subjects}, got {subject_id}")
-    if session_id not in SESSIONS:
-        raise ValueError(f"session_id must be in 1..5, got {session_id}")
+    subject_id = _int_in("subject_id", subject_id, 1, config.n_subjects)
+    session_id = _int_in("session_id", session_id, SESSIONS[0], SESSIONS[-1])
+    task_id = _int_in("task_id", task_id, TASKS[0], TASKS[-1])
     means = _draw_means((task_id,), config.samples_per_recording)
     session = (subject_id, session_id)
     block = _checked_samples(config, means, (task_id,), session)

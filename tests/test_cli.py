@@ -431,6 +431,17 @@ class TestFeaturesCommand:
         assert stdout == ""
         assert stderr.startswith(f"error: {svc}{message}")
 
+    @pytest.mark.parametrize("content, flags, message", [
+        ("1\n0 0 0 1 0 0 5\n", (), "first difference needs at least 2 samples"),
+        ("2\n0 0 0 0 0 0 0\n1 1 10 0 0 0 0\n", ("--pen-down-only",),
+         "recording has no pen-down samples"),
+    ])
+    def test_featureless_file_names_path(self, tmp_path, capsys, content, flags, message):
+        svc = tmp_path / "short.svc"
+        svc.write_text(content)
+        code, stdout, stderr = run_cli(capsys, "features", "--input", str(svc), *flags)
+        assert (code, stdout, stderr) == (1, "", f"error: {svc}: {message}\n")
+
 
 class TestParser:
     def test_help_includes_format_reference(self):

@@ -1,4 +1,5 @@
 import io
+import json
 import multiprocessing
 import os
 import pickle
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hwfatigue import data, synth
+from hwfatigue import cli, data, synth
 from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
                             SvcParseError, load_dataset, parse_svc, read_svc,
                             recording_path, serialize_svc, write_dataset)
@@ -335,8 +336,16 @@ class TestSampleAndDevice:
     def test_device_validation(self):
         with pytest.raises(ValueError):
             DeviceProfile(max_level=0)
-        with pytest.raises(ValueError):
-            DeviceProfile(force_at_max=-1.0)
+
+    @pytest.mark.parametrize("max_level", [1023.5, 1023.0, np.float64(1023), True, "1023"])
+    def test_ceiling_must_be_an_integer(self, max_level):
+        # 1023.5 would let 498 samples at 1023 read as a saturation ratio of 0.
+        with pytest.raises(ValueError, match=r"^max_level must be an integer, got "):
+            DeviceProfile(max_level=max_level)
+
+    def test_numpy_integer_ceiling_becomes_int(self):
+        device = DeviceProfile(max_level=np.int64(511))
+        assert type(device.max_level) is int and device == DeviceProfile(max_level=511)
 
     def test_ceiling_fits_int64(self):
         assert DeviceProfile(max_level=data.MAX_PRESSURE_LEVEL).max_level == 2**63 - 1
@@ -400,6 +409,23 @@ class TestRecording:
         with pytest.raises(ValueError):
             make_recording(task=0)
 
+    @pytest.mark.parametrize("ids, message", [
+        ((1, 2.0, 3), "session_id must be an integer, got 2.0"),
+        ((1, True, 3), "session_id must be an integer, got True"),
+        ((1.0, 2, 3), "subject_id must be an integer, got 1.0"),
+        ((1, 2, np.float64(3)), "task_id must be an integer, got "),
+        ((1, 2, np.True_), "task_id must be an integer, got "),
+    ])
+    def test_ids_must_be_integers(self, ids, message):
+        # A float session would be written to session2.0/, which no load finds.
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            make_recording(*ids)
+
+    def test_numpy_integer_ids_become_ints(self):
+        rec = make_recording(np.int64(2), np.int32(3), np.uint8(4))
+        assert rec.key == (2, 3, 4)
+        assert all(type(i) is int for i in rec.key)
+
 
 class TestDataset:
     def test_duplicate_key_guarded(self):
@@ -448,6 +474,15 @@ class TestDatasetIO:
         assert loaded.keys() == ds.keys()
         for key in ds.keys():
             assert np.array_equal(loaded.get(*key).samples, ds.get(*key).samples)
+
+    def test_numpy_integer_ids_round_trip(self, tmp_path):
+        ds = Dataset(make_recording(np.int64(s), np.int64(session), np.int64(t))
+                     for s in (1, 2) for session in (1, 5) for t in (3, 9))
+        written = write_dataset(ds, tmp_path)
+        assert written[0] == tmp_path / "subject01" / "session1" / "task3.svc"
+        loaded = load_dataset(tmp_path)
+        assert len(written) == len(loaded) == len(ds) == 8
+        assert loaded.keys() == ds.keys()
 
     def test_malformed_file_names_path_and_line(self, tmp_path):
         ds = generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=5))
@@ -720,6 +755,14 @@ class TestCheckedOnce:
         calls.clear()
         assert len(write_dataset(ds, tmp_path)) == 90
         assert calls == []
+
+    def test_features_command_checks_once(self, tmp_path, capsys, calls):
+        svc = tmp_path / "one.svc"
+        svc.write_text(serialize_svc(make_recording().samples))
+        calls.clear()
+        assert cli.main(["features", "--input", str(svc)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 3
+        assert calls == [(1, 3, 7)]
 
     def test_unpickling_does_not_check(self, calls):
         rec = make_recording()

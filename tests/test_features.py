@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwfatigue.data import DeviceProfile, Recording
-from hwfatigue.features import (extract_features, first_difference,
-                                level_to_force, mean_pressure,
+from hwfatigue.data import Recording
+from hwfatigue.features import (extract_features, first_difference, mean_pressure,
                                 saturation_ratio)
 from hwfatigue.synth import SynthConfig, generate_recording
 
@@ -100,33 +99,6 @@ class TestFirstDifference:
         lhs = first_difference(2.5 * f + 0.75 * g)
         rhs = 2.5 * first_difference(f) + 0.75 * first_difference(g)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestLevelToForce:
-    def test_saturation_endpoint(self):
-        assert level_to_force(1023) == 45.0
-
-    def test_zero(self):
-        assert level_to_force(0) == 0.0
-
-    def test_midpoint(self):
-        # 511 / 1023 * 45, computed independently
-        assert level_to_force(511) == pytest.approx(22.478005865102638, abs=1e-12)
-
-    def test_custom_device_endpoint(self):
-        device = DeviceProfile(max_level=2047, force_at_max=60.0)
-        assert level_to_force(2047, device) == 60.0
-
-    def test_monotone(self):
-        forces = [level_to_force(level) for level in range(0, 1024, 61)]
-        assert forces == sorted(forces)
-        assert len(set(forces)) == len(forces)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            level_to_force(-1)
-        with pytest.raises(ValueError):
-            level_to_force(1024)
 
 
 class TestExtractFeatures:

@@ -58,6 +58,8 @@ class TestSynthConfig:
             SynthConfig(fatigue_sessions=frozenset({4, 6}))
         with pytest.raises(ValueError, match="high_variation_tasks"):
             SynthConfig(high_variation_tasks=frozenset({0}))
+        with pytest.raises(ValueError, match=r"fatigue_multiplier task must lie in \[1, 9\]"):
+            SynthConfig(fatigue_multiplier={t: 2.0 for t in range(1, 11)})
 
     def test_rejects_incomplete_per_task_mapping(self):
         with pytest.raises(ValueError, match="missing"):
@@ -69,11 +71,33 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(samples_per_recording=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.0), ("seed", True), ("seed", "1"), ("n_subjects", 2.5),
+        ("n_subjects", 2.0), ("samples_per_recording", np.float64(20)),
+        ("fatigue_sessions", frozenset({4.0, 5})), ("high_variation_tasks", frozenset({True})),
+        ("base_saturation", {1.7 if t == 1 else t: 0.05 for t in range(1, 10)}),
+    ])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        # seed=1.0 would compare equal to seed=1 yet key other streams.
+        with pytest.raises(ValueError, match=f"^{field}( task)? must be an integer, got "):
+            SynthConfig(**{field: value})
+
+    def test_numpy_integer_fields_become_ints(self):
+        config = SynthConfig(n_subjects=np.int64(2), samples_per_recording=np.int32(20),
+                             seed=np.int64(1), fatigue_sessions=frozenset({np.int64(4)}))
+        assert config == SynthConfig(n_subjects=2, samples_per_recording=20, seed=1,
+                                     fatigue_sessions=frozenset({4}))
+        assert all(type(v) is int for v in (config.n_subjects, config.samples_per_recording,
+                                            config.seed, *config.fatigue_sessions))
+
     def test_json_dict_is_serializable(self):
         import json
         text = json.dumps(SynthConfig().to_json_dict(), sort_keys=True)
         assert '"seed": 0' in text
         assert '"max_level": 1023' in text
+        assert set(SynthConfig().to_json_dict()) == {
+            "n_subjects", "samples_per_recording", "base_saturation", "fatigue_multiplier",
+            "fatigue_sessions", "high_variation_tasks", "seed", "max_level"}
 
 
 class TestGenerateRecording:
@@ -144,7 +168,7 @@ class TestGenerateRecording:
         assert abs(np.mean(rates) - 0.05) < 0.005
 
     def test_device_override(self):
-        device = DeviceProfile(max_level=511, force_at_max=30.0)
+        device = DeviceProfile(max_level=511)
         config = SynthConfig(seed=6, samples_per_recording=400, device=device)
         rec = generate_recording(config, 1, 4, 1)
         assert rec.device == device
@@ -169,6 +193,21 @@ class TestGenerateRecording:
             generate_recording(config, 1, 6, 1)
         with pytest.raises(ValueError, match="task_id"):
             generate_recording(config, 1, 1, 0)
+
+    @pytest.mark.parametrize("ids, name", [
+        ((1, 1.0, 1), "session_id"), ((True, 1, 1), "subject_id"), ((1, 1, 2.0), "task_id"),
+    ])
+    def test_rejects_non_integer_ids(self, ids, name):
+        # A session of 1.0 would key a stream other than session 1's.
+        config = SynthConfig(n_subjects=3, samples_per_recording=10)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            generate_recording(config, *ids)
+
+    def test_numpy_integer_ids_give_the_same_recording(self):
+        config = SynthConfig(n_subjects=3, samples_per_recording=10)
+        rec = generate_recording(config, np.int64(2), np.int64(4), np.int64(3))
+        assert rec.key == (2, 4, 3) and all(type(i) is int for i in rec.key)
+        assert np.array_equal(rec.samples, generate_recording(config, 2, 4, 3).samples)
 
     def test_every_task_has_distinct_trajectory(self):
         config = SynthConfig(seed=8, samples_per_recording=300)
