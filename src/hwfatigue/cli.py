@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (MAX_PRESSURE_LEVEL, MAX_SUBJECT_ID, Dataset, DatasetError,
-                   DeviceProfile, _recording, load_dataset, read_svc, write_dataset)
+from .data import (MAX_SUBJECT_ID, Dataset, DatasetError, DeviceProfile, _int_in,
+                   _recording, load_dataset, read_svc, write_dataset)
 from .features import extract_features
-from .report import (FEATURES, aggregate, render_fig_data_csv, render_table1_csv,
-                     render_table1_json, render_table2_csv, render_table2_json,
-                     significant_labels)
+from .report import (DEFAULT_ALPHA, FEATURES, _check_alpha, aggregate, render_fig_data_csv,
+                     render_table1_csv, render_table1_json, render_table2_csv,
+                     render_table2_json, significant_labels)
 from .stats import DEFAULT_EXACT_THRESHOLD, TestResult, pairwise_session_tests
 from .synth import SynthConfig, generate_dataset
 
@@ -48,29 +48,17 @@ treated as absent recordings, not errors.
 """
 
 
-def _int_flag(low: int | None = None, high: int | None = None):
-    """argparse ``type=`` for an integer flag in ``[low, high]`` (either end
-    open when None); a value outside it exits with status 2 before any work."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+def _flag(convert, check, *args, **kwargs):
+    """argparse ``type=``: the library's ``check(*args, convert(text), **kwargs)``,
+    whose ValueError, like one from ``convert``, exits with status 2 before any work."""
+    def parse(text: str):
+        value = convert(text)  # its ValueError reads "invalid <convert> value"
+        try:
+            return check(*args, value, **kwargs)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    parse.__name__ = convert.__name__
     return parse
-
-
-def _probability(text: str) -> float:
-    """argparse ``type=`` for a significance level in the open interval (0, 1)."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return value
-
-
-_probability.__name__ = "float"
 
 
 def _json_text(obj) -> str:
@@ -78,7 +66,7 @@ def _json_text(obj) -> str:
 
 
 def analyze_dataset(dataset: Dataset, feature: str = "saturation_ratio",
-                    alpha: float = 0.05,
+                    alpha: float = DEFAULT_ALPHA,
                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                     ) -> tuple[dict[str, str], list[TestResult], list[str]]:
     """The full analysis pipeline on an in-memory dataset.
@@ -86,10 +74,12 @@ def analyze_dataset(dataset: Dataset, feature: str = "saturation_ratio",
     Returns the rendered artifact texts keyed by output file name, the raw
     pairwise test results, and the per-task significance summary lines.
     ``feature`` selects what the session comparisons are run on; table1 and
-    fig5 always describe mean pressure, fig4 always saturation.
+    fig5 always describe mean pressure, fig4 always saturation.  An unknown
+    ``feature`` or an ``alpha`` outside (0, 1) is refused before any work.
     """
     if feature not in FEATURES:
         raise ValueError(f"unknown feature {feature!r}, expected one of {FEATURES}")
+    _check_alpha(alpha)
     grid_sat = aggregate(dataset, "saturation_ratio")
     grid_mp = aggregate(dataset, "mean_pressure")
     tested_grid = grid_sat if feature == "saturation_ratio" else grid_mp
@@ -129,12 +119,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _check_output_dir(outdir)
     if outdir.is_dir() and any(outdir.iterdir()):
         raise FileExistsError(f"{outdir}: output directory is not empty")
-    config = SynthConfig(
-        n_subjects=args.subjects,
-        samples_per_recording=args.samples,
-        seed=args.seed,
-        device=DeviceProfile(max_level=args.sat_level),
-    )
+    config = SynthConfig(n_subjects=args.subjects, samples_per_recording=args.samples,
+                         seed=args.seed, device=args.device)
     dataset = generate_dataset(config)
     write_dataset(dataset, outdir)
     print(_json_text(config.to_json_dict()), end="")
@@ -147,7 +133,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # A failed run must not leave the previous run's artifacts looking fresh.
     for name in ANALYZE_OUTPUTS:
         (outdir / name).unlink(missing_ok=True)
-    dataset = load_dataset(args.input, DeviceProfile(max_level=args.sat_level))
+    dataset = load_dataset(args.input, args.device)
     if len(dataset) == 0:
         raise DatasetError(f"no recordings found under {args.input}")
     outputs, _, summary = analyze_dataset(dataset, feature=args.feature, alpha=args.alpha,
@@ -161,17 +147,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    device = DeviceProfile(max_level=args.sat_level)
     # read_svc checked the array; the identity fields are irrelevant here.
-    recording = _recording(1, 1, 1, read_svc(args.input, device), device)
+    recording = _recording(1, 1, 1, read_svc(args.input, args.device), args.device)
     try:
         fv = extract_features(recording, pen_down_only=args.pen_down_only)
-    except ValueError as err:  # a file too short, or with no pen-down sample
+    except ValueError as err:  # no pen-down sample under --pen-down-only
         raise ValueError(f"{args.input}: {err}") from None
 
-    def abs_summary(series: np.ndarray) -> dict:
+    def abs_summary(series: np.ndarray) -> dict | None:  # None: one sample, no speed
         a = np.abs(series)
-        return {"min": float(a.min()), "max": float(a.max()), "mean": float(a.mean())}
+        return {"min": float(a.min()), "max": float(a.max()),
+                "mean": float(a.mean())} if a.size else None
 
     print(_json_text({
         "n_samples": fv.n_samples,
@@ -179,7 +165,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         "mean_pressure": fv.mean_pressure,
         "speed_x_abs": abs_summary(fv.speed_x),
         "speed_y_abs": abs_summary(fv.speed_y),
-        "sat_level": device.max_level,
+        "sat_level": args.device.max_level,
     }), end="")
     return 0
 
@@ -197,33 +183,36 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with the format reference and the device ceiling flag."""
         p = sub.add_parser(name, help=summary, epilog=_FORMAT_HELP,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.add_argument("--sat-level", type=_int_flag(low=1, high=MAX_PRESSURE_LEVEL),
-                       default=1023,
-                       help="device max pressure level, at least 1 (default 1023)")
+        p.add_argument("--sat-level", type=_flag(int, DeviceProfile), dest="device",
+                       default=DeviceProfile(), metavar="SAT_LEVEL",
+                       help="device max pressure level, at least 1 "
+                            f"(default {DeviceProfile().max_level})")
         p.set_defaults(func=func)
         return p
 
     p_synth = command("synth", "generate a synthetic dataset directory", cmd_synth)
     p_synth.add_argument("--output", required=True,
                          help="dataset directory to create; must be absent or empty")
-    p_synth.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p_synth.add_argument("--subjects", type=_int_flag(low=1, high=MAX_SUBJECT_ID),
-                         default=21,
-                         help="number of subjects, 1..99 (default 21)")
-    p_synth.add_argument("--samples", type=_int_flag(low=1), default=2000,
-                         help="samples per recording, at least 1 (default 2000)")
+    p_synth.add_argument("--seed", type=int, default=SynthConfig.seed,
+                         help="generator seed (default %(default)s)")
+    p_synth.add_argument("--subjects", default=SynthConfig.n_subjects,
+                         type=_flag(int, _int_in, "n_subjects", low=1, high=MAX_SUBJECT_ID),
+                         help=f"number of subjects, 1..{MAX_SUBJECT_ID} (default %(default)s)")
+    p_synth.add_argument("--samples", default=SynthConfig.samples_per_recording,
+                         type=_flag(int, _int_in, "samples_per_recording", low=1),
+                         help="samples per recording, at least 1 (default %(default)s)")
 
     p_analyze = command("analyze", "run the analysis pipeline over a dataset directory",
                         cmd_analyze)
     p_analyze.add_argument("--input", required=True, help="dataset root directory")
     p_analyze.add_argument("--output", required=True, help="directory for result files")
-    p_analyze.add_argument("--alpha", type=_probability, default=0.05,
-                           help="significance threshold, in (0, 1) (default 0.05)")
-    p_analyze.add_argument("--exact-threshold", type=_int_flag(low=0),
-                           default=DEFAULT_EXACT_THRESHOLD,
+    p_analyze.add_argument("--alpha", type=_flag(float, _check_alpha), default=DEFAULT_ALPHA,
+                           help="significance threshold, in (0, 1) (default %(default)s)")
+    p_analyze.add_argument("--exact-threshold", default=DEFAULT_EXACT_THRESHOLD,
+                           type=_flag(int, _int_in, "exact_threshold", low=0),
                            help="max pooled size for the exact test, at least 0; "
                                 "pooled sizes above 64 always use the normal "
-                                "approximation (default 25)")
+                                "approximation (default %(default)s)")
     p_analyze.add_argument("--feature", choices=FEATURES, default="saturation_ratio",
                            help="feature the session comparisons run on")
 

@@ -19,7 +19,7 @@ A dataset directory groups recordings as::
     root/subject<NN>/session<S>/task<T>.svc
 
 with NN zero-padded to two digits (01..99), S in 1..5 and T in 1..9.
-Missing files are legal; entries that do not match the layout are ignored.
+Missing files are legal; names :func:`recording_path` does not write are ignored.
 
 Three functions share one process fan-out (:func:`_fan_out`), each with one
 subject's session as the unit of work: :func:`write_dataset` and
@@ -43,8 +43,8 @@ returns exactly the arrays the public constructor accepts, which copies and
 checks the caller's array; arrays the package builds and checks itself
 (parsed files, generated sessions, recordings unpickled from a child) are
 wrapped by a private constructor without a copy or a second check.
-Likewise one function, :func:`_int_in`, checks each integer field a caller
-passes in: a device ceiling, a recording id, a synthesis count or seed.
+Likewise one function, :func:`_int_in`, checks each integer a caller passes
+in: a ceiling or saturation level, a recording id, a count, a seed, a flag.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ COL_AZIMUTH = 4
 COL_ALTITUDE = 5
 COL_PRESSURE = 6
 N_COLUMNS = 7
-
-_SUBJECT_DIR_RE = re.compile(r"subject(0[1-9]|[1-9][0-9])$")
-_SESSION_DIR_RE = re.compile(r"session([1-5])$")
-_TASK_FILE_RE = re.compile(r"task([1-9])\.svc$")
 
 # The only bytes well-formed SVC text holds once CRLF is folded to LF.
 _SVC_BYTES = b"0123456789+- \t\n"
@@ -293,7 +289,7 @@ def _sample_fault(block: np.ndarray, max_level: int) -> tuple[int, int, str] | N
 
 def _recording(subject_id: int, session_id: int, task_id: int, samples: np.ndarray,
                device: DeviceProfile) -> Recording:
-    """Private constructor for a key from the layout's regexes, the generation
+    """Private constructor for a key from the layout's name maps, the generation
     loops or an existing recording, and an (N, 7) int64 array that has passed
     :func:`_sample_fault`: freezes ``samples`` in place, checks nothing."""
     recording = object.__new__(Recording)
@@ -460,6 +456,12 @@ def recording_path(root: Path, subject_id: int, session_id: int, task_id: int) -
     return Path(root) / f"subject{subject_id:02d}" / f"session{session_id}" / f"task{task_id}.svc"
 
 
+# The names the layout walk reads, mapped to their ids: recording_path's own.
+_SUBJECT_DIRS = {recording_path("", s, 1, 1).parts[0]: s for s in range(1, MAX_SUBJECT_ID + 1)}
+_SESSION_DIRS = {recording_path("", 1, s, 1).parts[1]: s for s in SESSIONS}
+_TASK_FILES = {recording_path("", 1, 1, t).name: t for t in TASKS}
+
+
 def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> Dataset:
     """Load every well-formed recording under ``root``.
 
@@ -482,20 +484,18 @@ def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
     one list per session directory that holds any."""
     sessions = []
     for subject_dir in sorted(root.iterdir()):
-        m = _SUBJECT_DIR_RE.fullmatch(subject_dir.name)
-        if m is None or not subject_dir.is_dir():
+        subject_id = _SUBJECT_DIRS.get(subject_dir.name)
+        if subject_id is None or not subject_dir.is_dir():
             continue
-        subject_id = int(m.group(1))
         for session_dir in sorted(subject_dir.iterdir()):
-            m = _SESSION_DIR_RE.fullmatch(session_dir.name)
-            if m is None or not session_dir.is_dir():
+            session_id = _SESSION_DIRS.get(session_dir.name)
+            if session_id is None or not session_dir.is_dir():
                 continue
-            session_id = int(m.group(1))
             files = []
             for task_file in sorted(session_dir.iterdir()):
-                m = _TASK_FILE_RE.fullmatch(task_file.name)
-                if m is not None and task_file.is_file():
-                    files.append(((subject_id, session_id, int(m.group(1))), task_file))
+                task_id = _TASK_FILES.get(task_file.name)
+                if task_id is not None and task_file.is_file():
+                    files.append(((subject_id, session_id, task_id), task_file))
             if files:
                 sessions.append(files)
     return sessions

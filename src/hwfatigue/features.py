@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PenStatus, Recording
+from .data import MAX_PRESSURE_LEVEL, PenStatus, Recording, _int_in
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,12 +33,12 @@ class FeatureVector:
 
 def saturation_ratio(pressure, sat_level: int) -> float:
     """Fraction of samples with pressure >= sat_level (the >= is deliberate:
-    a reading at the ceiling is already saturated)."""
+    a reading at the ceiling is already saturated).  ``sat_level`` is
+    checked as ``DeviceProfile`` checks its ``max_level``."""
     p = np.asarray(pressure)
     if p.size == 0:
         raise ValueError("saturation ratio is undefined for an empty series")
-    if sat_level <= 0:
-        raise ValueError(f"sat_level must be positive, got {sat_level}")
+    sat_level = _int_in("sat_level", sat_level, 1, MAX_PRESSURE_LEVEL)
     return int(np.count_nonzero(p >= sat_level)) / p.size
 
 
@@ -68,7 +68,8 @@ def extract_features(recording: Recording, pen_down_only: bool = False) -> Featu
 
     Saturation uses the recording's device ceiling as the saturation level.
     With ``pen_down_only`` every series (pressure and coordinates alike) is
-    restricted to pen-down samples before any computation.
+    restricted to pen-down samples before any computation; ValueError if
+    none is pen-down.  The speeds are ``n_samples - 1`` long: empty for one.
     """
     if pen_down_only:
         mask = recording.pen_status == int(PenStatus.DOWN)
@@ -81,6 +82,6 @@ def extract_features(recording: Recording, pen_down_only: bool = False) -> Featu
         saturation_ratio=saturation_ratio(pressure, recording.device.max_level),
         mean_pressure=mean_pressure(pressure),
         n_samples=int(pressure.size),
-        speed_x=first_difference(x),
-        speed_y=first_difference(y),
+        speed_x=first_difference(x) if x.size > 1 else np.empty(0),
+        speed_y=first_difference(y) if y.size > 1 else np.empty(0),
     )

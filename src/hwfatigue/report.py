@@ -31,6 +31,7 @@ from .features import mean_pressure, saturation_ratio
 from .stats import SESSION_PAIRS, TestResult
 
 SCHEMA_VERSION = 1
+DEFAULT_ALPHA = 0.05  # significance level of table2 unless the caller picks one
 
 FeatureName = Literal["saturation_ratio", "mean_pressure"]
 FEATURES = ("saturation_ratio", "mean_pressure")
@@ -94,10 +95,9 @@ def aggregate(dataset: Dataset, feature: FeatureName) -> FeatureGrid:
         raise ValueError("cannot aggregate an empty dataset")
     collected: dict[tuple[int, int], list[float]] = {
         (task, session): [] for task in TASKS for session in SESSIONS}
-    for key in dataset.keys():
-        subject_id, session_id, task_id = key
-        recording = dataset.get(*key)
-        collected[(task_id, session_id)].append(recording_feature(recording, feature))
+    for recording in dataset:
+        collected[(recording.task_id, recording.session_id)].append(
+            recording_feature(recording, feature))
     cells = {key: SessionTaskSummary.from_values(key[0], key[1], values)
              for key, values in collected.items()}
     return FeatureGrid(feature=feature, cells=cells)
@@ -143,6 +143,13 @@ def render_table1_json(grid: FeatureGrid) -> dict:
     }
 
 
+def _check_alpha(alpha: float) -> float:
+    """``alpha`` if it lies in (0, 1); ValueError otherwise, NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
+
+
 def significant_labels(row: dict) -> list[str]:
     """Pair labels of a table2 document row whose cells are flagged
     significant, in :data:`SESSION_PAIRS` order."""
@@ -150,7 +157,7 @@ def significant_labels(row: dict) -> list[str]:
             if cell is not None and cell["significant"]]
 
 
-def render_table2_csv(results: list[TestResult], alpha: float = 0.05) -> str:
+def render_table2_csv(results: list[TestResult], alpha: float = DEFAULT_ALPHA) -> str:
     """Pairwise p-values as 9 task rows x 10 session-pair columns.
 
     p-values are shown to three decimals; the trailing ``significant``
@@ -167,7 +174,10 @@ def render_table2_csv(results: list[TestResult], alpha: float = 0.05) -> str:
     return _csv_text(rows)
 
 
-def render_table2_json(results: list[TestResult], alpha: float = 0.05) -> dict:
+def render_table2_json(results: list[TestResult], alpha: float = DEFAULT_ALPHA) -> dict:
+    """Pairwise p-values at full precision, ``significant`` below ``alpha``;
+    ValueError for an ``alpha`` outside (0, 1) or NaN, before any rendering."""
+    _check_alpha(alpha)
     by_cell = {(r.task_id, r.session_a, r.session_b): r for r in results}
     labels = [f"S{a}-S{b}" for a, b in SESSION_PAIRS]
     out_rows = []

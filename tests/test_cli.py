@@ -248,7 +248,8 @@ class TestAnalyzeCommand:
             main(["analyze", "--input", str(dataset_dir), "--output", str(out),
                   "--sat-level", "0"])
         assert exc.value.code == 2
-        assert "argument --sat-level: must be at least 1, got 0" in capsys.readouterr().err
+        assert ("argument --sat-level: max_level must lie in [1, 9223372036854775807], got 0"
+                in capsys.readouterr().err)
         assert sorted(before) == sorted(ANALYZE_OUTPUTS)
         assert read_tree(out) == before
 
@@ -339,6 +340,9 @@ class TestAnalyzeCommand:
             cli.analyze_dataset(Dataset(), feature="speed")
         assert str(exc.value) == ("unknown feature 'speed', expected one of "
                                   f"{cli.FEATURES}")
+        for alpha in (0, 1, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
+                cli.analyze_dataset(Dataset(), alpha=alpha)
 
     def test_alpha_flag_changes_flags(self, dataset_dir, tmp_path, capsys):
         strict = tmp_path / "strict"
@@ -431,8 +435,20 @@ class TestFeaturesCommand:
         assert stdout == ""
         assert stderr.startswith(f"error: {svc}{message}")
 
+    @pytest.mark.parametrize("content, flags", [
+        ("1\n0 0 0 1 0 0 1023\n", ()),
+        ("2\n0 0 0 1 0 0 1023\n1 1 10 0 0 0 0\n", ("--pen-down-only",)),
+    ], ids=["one-sample", "one-pen-down-sample"])
+    def test_one_selected_sample_has_null_speeds(self, tmp_path, capsys, content, flags):
+        svc = tmp_path / "one.svc"
+        svc.write_text(content)
+        code, stdout, stderr = run_cli(capsys, "features", "--input", str(svc), *flags)
+        assert (code, stderr) == (0, "")
+        assert json.loads(stdout) == {"n_samples": 1, "saturation_ratio": 1.0,
+                                      "mean_pressure": 1023.0, "speed_x_abs": None,
+                                      "speed_y_abs": None, "sat_level": 1023}
+
     @pytest.mark.parametrize("content, flags, message", [
-        ("1\n0 0 0 1 0 0 5\n", (), "first difference needs at least 2 samples"),
         ("2\n0 0 0 0 0 0 0\n1 1 10 0 0 0 0\n", ("--pen-down-only",),
          "recording has no pen-down samples"),
     ])

@@ -531,6 +531,14 @@ class TestDatasetIO:
         (tmp_path / "subject1").mkdir()          # not zero-padded
         (tmp_path / "subject01" / "session9").mkdir()
         (tmp_path / "subject01" / "session1" / "task10.svc").write_text("junk")
+        # Names recording_path never writes, each holding a valid recording.
+        valid = (tmp_path / "subject01" / "session1" / "task1.svc").read_text()
+        for relative in ("subject00/session1/task1.svc", "subject001/session1/task1.svc",
+                         "subject100/session1/task1.svc", "subject01/Session2/task1.svc",
+                         "subject01/session0/task1.svc", "subject01/session1/task0.svc",
+                         "subject01/session1/task01.svc", "subject01/session2/task1.SVC"):
+            (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / relative).write_text(valid)
         assert len(load_dataset(tmp_path)) == 45
 
     def test_write_rejects_three_digit_subject(self, tmp_path):

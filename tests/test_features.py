@@ -22,6 +22,7 @@ class TestSaturationRatio:
 
     def test_half_saturated(self):
         assert saturation_ratio([1023, 500, 1023, 0], 1023) == 0.5
+        assert saturation_ratio([1023, 500, 1023, 0], np.int64(1023)) == 0.5
 
     def test_at_level_counts(self):
         # the comparison is >=, not >
@@ -31,9 +32,12 @@ class TestSaturationRatio:
         with pytest.raises(ValueError, match="empty"):
             saturation_ratio([], 1023)
 
-    def test_nonpositive_level(self):
-        with pytest.raises(ValueError, match="positive"):
-            saturation_ratio([1, 2], 0)
+    @pytest.mark.parametrize("level", [0, 1023.5, True, 2**63])
+    def test_nonpositive_level(self, level):
+        # checked as DeviceProfile checks max_level: an integer in [1, 2**63 - 1]
+        with pytest.raises(ValueError, match=r"^sat_level must (be an integer|lie in "
+                                             r"\[1, 9223372036854775807\]), got "):
+            saturation_ratio([1023] * 5, level)
 
     def test_matches_loop_oracle_exactly(self):
         rng = np.random.default_rng(11)
@@ -115,6 +119,8 @@ class TestExtractFeatures:
         assert fv.speed_x.shape == (1,)
         assert fv.speed_y.shape == (1,)
         assert fv.speed_x.shape[0] == fv.n_samples - 1
+        one = extract_features(make_recording(pressures=(10,)))
+        assert one.speed_x.shape == one.speed_y.shape == (0,)
 
     def test_speeds_are_coordinate_differences(self):
         rec = make_recording(pressures=(10, 20, 30))

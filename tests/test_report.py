@@ -186,6 +186,10 @@ class TestTable2:
         _, results = grid_results(small_dataset(n_subjects=8, samples=400))
         strict = parse_csv(render_table2_csv(results, alpha=1e-9))
         assert all(row[11] == "" for row in strict[1:])
+        for alpha in (0, 1, 1.5, -0.1, float("nan")):
+            for render in (render_table2_json, render_table2_csv):
+                with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
+                    render(results, alpha=alpha)
 
     def test_missing_pair_left_empty(self):
         _, results = grid_results(small_dataset(n_subjects=3))
