@@ -23,9 +23,9 @@ import numpy as np
 from .data import (MAX_SUBJECT_ID, Dataset, DatasetError, DeviceProfile, _int_in,
                    _recording, load_dataset, read_svc, write_dataset)
 from .features import extract_features
-from .report import (DEFAULT_ALPHA, FEATURES, _check_alpha, aggregate, render_fig_data_csv,
-                     render_table1_csv, render_table1_json, render_table2_csv,
-                     render_table2_json, significant_labels)
+from .report import (DEFAULT_ALPHA, DEFAULT_FEATURE, FEATURES, _check_alpha, _check_feature,
+                     aggregate, render_fig_data_csv, render_table1_csv, render_table1_json,
+                     render_table2_csv, render_table2_json, significant_labels)
 from .stats import DEFAULT_EXACT_THRESHOLD, TestResult, pairwise_session_tests
 from .synth import SynthConfig, generate_dataset
 
@@ -65,7 +65,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def analyze_dataset(dataset: Dataset, feature: str = "saturation_ratio",
+def analyze_dataset(dataset: Dataset, feature: str = DEFAULT_FEATURE,
                     alpha: float = DEFAULT_ALPHA,
                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                     ) -> tuple[dict[str, str], list[TestResult], list[str]]:
@@ -77,8 +77,7 @@ def analyze_dataset(dataset: Dataset, feature: str = "saturation_ratio",
     fig5 always describe mean pressure, fig4 always saturation.  An unknown
     ``feature`` or an ``alpha`` outside (0, 1) is refused before any work.
     """
-    if feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}, expected one of {FEATURES}")
+    _check_feature(feature)
     _check_alpha(alpha)
     grid_sat = aggregate(dataset, "saturation_ratio")
     grid_mp = aggregate(dataset, "mean_pressure")
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="max pooled size for the exact test, at least 0; "
                                 "pooled sizes above 64 always use the normal "
                                 "approximation (default %(default)s)")
-    p_analyze.add_argument("--feature", choices=FEATURES, default="saturation_ratio",
+    p_analyze.add_argument("--feature", choices=FEATURES, default=DEFAULT_FEATURE,
                            help="feature the session comparisons run on")
 
     p_features = command("features", "print the feature vector of one SVC file",

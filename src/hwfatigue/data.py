@@ -21,6 +21,10 @@ A dataset directory groups recordings as::
 with NN zero-padded to two digits (01..99), S in 1..5 and T in 1..9.
 Missing files are legal; names :func:`recording_path` does not write are ignored.
 
+:func:`serialize_svc` and :func:`write_dataset` emit one canonical text
+(tokens with no ``+`` and no leading zeros, single spaces, LF line ends),
+formatted in numpy's C loops by :func:`_svc_bytes`.
+
 Three functions share one process fan-out (:func:`_fan_out`), each with one
 subject's session as the unit of work: :func:`write_dataset` and
 :func:`load_dataset` (a session directory, at most nine files) and
@@ -85,7 +89,6 @@ _SVC_BYTES = b"0123456789+- \t\n"
 _TOKEN_RE = re.compile(r"[+-]?[0-9]+")
 _SEPARATOR_RE = re.compile(r"[ \t]+")
 _INT64 = np.iinfo(np.int64)
-_ROW_FORMAT = " ".join(["%d"] * N_COLUMNS) + "\n"
 
 
 class SvcParseError(ValueError):
@@ -444,12 +447,32 @@ def serialize_svc(samples) -> str:
     any array ``Recording`` accepts round-trips bit-exactly through
     :func:`parse_svc`.
     """
-    return _svc_text(_checked_rows(samples, MAX_PRESSURE_LEVEL, copy=False))
+    return _svc_bytes(_checked_rows(samples, MAX_PRESSURE_LEVEL, copy=False)).decode("ascii")
 
 
-def _svc_text(samples: np.ndarray) -> str:
-    """:func:`serialize_svc` of an (N, 7) int64 array already checked."""
-    return f"{len(samples)}\n" + (_ROW_FORMAT * len(samples)) % tuple(samples.ravel().tolist())
+def _svc_bytes(samples: np.ndarray) -> bytes:
+    """:func:`serialize_svc` of an (N, 7) int64 array already checked, as bytes.
+
+    Each of the 7N tokens gets one row of a byte matrix as wide as the
+    largest magnitude's digits plus two: a sign slot, the digits
+    right-aligned, and a space (an LF after every seventh token).  The sign
+    slot of a non-negative value and the leading-zero slots stay NUL, and
+    one ``bytes.translate`` deletes every NUL.
+    """
+    values = samples.ravel()
+    q = np.abs(values).view(np.uint64)  # abs(-2**63) wraps to -2**63, which is 2**63 as uint64
+    digits = len(str(int(q.max())))
+    tokens = np.zeros((values.size, digits + 2), np.uint8)
+    tokens[:, 0] = np.where(values < 0, ord("-"), 0)
+    tokens[:, -1] = ord(" ")
+    tokens[N_COLUMNS - 1::N_COLUMNS, -1] = ord("\n")
+    for col in range(digits, 0, -1):
+        quotient = q // 10
+        digit = q - 10 * quotient + ord("0")
+        # The units digit is written even for 0, a higher one only while q > 0.
+        tokens[:, col] = digit if col == digits else np.where(q > 0, digit, 0)
+        q = quotient
+    return f"{len(samples)}\n".encode() + tokens.tobytes().translate(None, b"\0")
 
 
 def recording_path(root: Path, subject_id: int, session_id: int, task_id: int) -> Path:
@@ -527,7 +550,7 @@ def _write_session(recordings: list[Recording], root: Path) -> list[Path]:
     paths = [recording_path(root, *recording.key) for recording in recordings]
     paths[0].parent.mkdir(parents=True, exist_ok=True)
     for recording, path in zip(recordings, paths):
-        path.write_text(_svc_text(recording.samples), newline="\n")
+        path.write_bytes(_svc_bytes(recording.samples))
     return paths
 
 

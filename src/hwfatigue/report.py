@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -35,6 +36,7 @@ DEFAULT_ALPHA = 0.05  # significance level of table2 unless the caller picks one
 
 FeatureName = Literal["saturation_ratio", "mean_pressure"]
 FEATURES = ("saturation_ratio", "mean_pressure")
+DEFAULT_FEATURE = "saturation_ratio"  # feature table2 tests unless the caller picks one
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,9 @@ class FeatureGrid:
 
 def recording_feature(recording: Recording, feature: FeatureName) -> float:
     """The per-recording scalar that gets aggregated across subjects."""
-    if feature == "saturation_ratio":
+    if _check_feature(feature) == "saturation_ratio":
         return saturation_ratio(recording.pressure, recording.device.max_level)
-    if feature == "mean_pressure":
-        return mean_pressure(recording.pressure)
-    raise ValueError(f"unknown feature {feature!r}, expected one of {FEATURES}")
+    return mean_pressure(recording.pressure)
 
 
 def aggregate(dataset: Dataset, feature: FeatureName) -> FeatureGrid:
@@ -91,6 +91,7 @@ def aggregate(dataset: Dataset, feature: FeatureName) -> FeatureGrid:
     Values are ordered by subject id.  Cells with no recordings yield n = 0
     summaries; a session a subject skipped is simply absent from that cell.
     """
+    _check_feature(feature)
     if len(dataset) == 0:
         raise ValueError("cannot aggregate an empty dataset")
     collected: dict[tuple[int, int], list[float]] = {
@@ -143,8 +144,18 @@ def render_table1_json(grid: FeatureGrid) -> dict:
     }
 
 
+def _check_feature(feature: str) -> str:
+    """``feature`` if it is one of :data:`FEATURES`; ValueError otherwise."""
+    if feature not in FEATURES:
+        raise ValueError(f"unknown feature {feature!r}, expected one of {FEATURES}")
+    return feature
+
+
 def _check_alpha(alpha: float) -> float:
-    """``alpha`` if it lies in (0, 1); ValueError otherwise, NaN included."""
+    """``alpha`` if it is a real number in (0, 1); ValueError naming
+    ``alpha`` otherwise, NaN and a string included."""
+    if not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return alpha

@@ -5,7 +5,8 @@ is plain Python loops, ranking is the O(n^2) definition, and the exact
 rank-sum tail probabilities come from enumerating every subset assignment.
 The reference synthetic generator shares only the stream key and the task
 curves with the library; it draws and shapes one recording at a time, with
-one ``normal`` call per channel.
+one ``normal`` call per channel.  The reference SVC writer is Python's
+``%d`` formatting of every sample.
 """
 
 from __future__ import annotations
@@ -150,6 +151,14 @@ def parse_svc_by_lines(text: str, max_level: int) -> list[list[int]]:
             raise SvcReject(line_no)
         rows.append(values)
     return rows
+
+
+def svc_text_by_format(samples) -> str:
+    """Reference SVC writer: the sample count, then one ``%d`` row per
+    sample with single spaces and an LF."""
+    rows = np.asarray(samples)
+    row_format = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return f"{len(rows)}\n" + (row_format * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def full_table_ranksum(a, b) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
@@ -53,6 +54,19 @@ class TestSynthCommand:
         run_cli(capsys, *synth_args(a))
         run_cli(capsys, *synth_args(b))
         assert read_tree(a) == read_tree(b)
+
+    # sha256 of the "<path> <sha256 of its bytes>" lines, in path order, of
+    # the tree `synth --seed 5 --subjects 2 --samples 120` writes (C9's shape).
+    TREE_DIGEST = "b8a70409be013330b96299246bb571adc2de0e881ac4209f2f9ee94e68127da0"
+
+    def test_pinned_tree_digest(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        run_cli(capsys, *synth_args(out, seed=5))
+        tree = read_tree(out)
+        assert (len(tree), sum(map(len, tree.values()))) == (90, 320979)
+        manifest = "".join(f"{name} {hashlib.sha256(content).hexdigest()}\n"
+                           for name, content in tree.items())
+        assert hashlib.sha256(manifest.encode()).hexdigest() == self.TREE_DIGEST
 
     def test_seed_changes_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

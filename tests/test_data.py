@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,6 +19,8 @@ from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
 from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording
 
 VALID_TEXT = "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023\n"
+INT64_MAX = 2**63 - 1
+INT64 = st.integers(-2**63, INT64_MAX)
 
 
 def make_recording(subject=1, session=1, task=1, pressures=(500, 600, 700),
@@ -306,6 +308,30 @@ class TestSerializeSvc:
         arr = np.array(rows, dtype=np.int64).reshape(len(rows), 7)
         arr[:, data.COL_TIMESTAMP].sort()
         assert np.array_equal(parse_svc(serialize_svc(arr)), arr)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(
+        INT64, INT64, INT64, st.integers(0, 1), INT64, INT64, st.integers(0, INT64_MAX),
+    ), min_size=1, max_size=30))
+    @example([(-2**63, INT64_MAX, -2**63, 0, INT64_MAX, -2**63, INT64_MAX)])
+    @example([(0, -1, 0, 1, 9, -10, 0)])
+    def test_same_text_as_the_format_oracle(self, rows):
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), 7)
+        arr[:, data.COL_TIMESTAMP].sort()
+        assert serialize_svc(arr) == oracles.svc_text_by_format(arr)
+
+    @pytest.mark.parametrize("layout", [
+        np.asfortranarray,
+        lambda a: np.repeat(a, 3, axis=0)[1::3],
+        lambda a: np.concatenate([a, -a], axis=1)[:, :7],
+        lambda a: a.astype(np.int32),
+        lambda a: a.tolist(),
+    ], ids=["fortran", "strided-rows", "strided-columns", "int32", "list"])
+    def test_any_layout_gives_the_oracle_text(self, layout):
+        arr = np.array([[-30000, 12, 0, 1, -7, 600, 0],
+                        [5, -123456789, 10, 0, 3599, 0, 1023],
+                        [0, 0, 2**31 - 1, 1, -2**31, 9, 100]], dtype=np.int64)
+        assert serialize_svc(layout(arr)) == oracles.svc_text_by_format(arr)
 
     @pytest.mark.parametrize("value", [5.7, np.nan, 1e30])
     def test_refuses_non_integer_samples(self, value):

@@ -2,10 +2,12 @@ import csv
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
+from hwfatigue import report
 from hwfatigue.cli import analyze_dataset
 from hwfatigue.data import Dataset
 from hwfatigue.report import (FeatureGrid, SessionTaskSummary, aggregate,
@@ -96,9 +98,14 @@ class TestAggregate:
         with pytest.raises(ValueError, match="empty"):
             aggregate(Dataset(), "saturation_ratio")
 
-    def test_unknown_feature_rejected(self):
+    def test_unknown_feature_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown feature"):
             recording_feature(make_recording(), "median_pressure")
+        # aggregate refuses before its loop, even on an empty dataset.
+        monkeypatch.setattr(report, "recording_feature", pytest.fail)
+        for dataset in (Dataset(), small_dataset()):
+            with pytest.raises(ValueError, match="^unknown feature 'speed', expected one of "):
+                aggregate(dataset, "speed")
 
     def test_values_by_cell_round_trip(self):
         grid = aggregate(small_dataset(), "saturation_ratio")
@@ -186,9 +193,11 @@ class TestTable2:
         _, results = grid_results(small_dataset(n_subjects=8, samples=400))
         strict = parse_csv(render_table2_csv(results, alpha=1e-9))
         assert all(row[11] == "" for row in strict[1:])
-        for alpha in (0, 1, 1.5, -0.1, float("nan")):
+        for alpha in (0, 1, 1.5, -0.1, float("nan"), "0.05", None):
+            message = (rf"^alpha must (lie in \(0, 1\)|be a number), "
+                       rf"got {re.escape(repr(alpha))}$")
             for render in (render_table2_json, render_table2_csv):
-                with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
+                with pytest.raises(ValueError, match=message):
                     render(results, alpha=alpha)
 
     def test_missing_pair_left_empty(self):
