@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+# No command calls generate_dataset or write_dataset; they stay bound here
+# because perfbench's tracer patches them by these module names.
 from .data import (MAX_SUBJECT_ID, Dataset, DatasetError, DeviceProfile, _int_in,
                    _recording, load_dataset, read_svc, write_dataset)
 from .features import extract_features
@@ -27,7 +29,7 @@ from .report import (DEFAULT_ALPHA, DEFAULT_FEATURE, FEATURES, _check_alpha, _ch
                      aggregate, render_fig_data_csv, render_table1_csv, render_table1_json,
                      render_table2_csv, render_table2_json, significant_labels)
 from .stats import DEFAULT_EXACT_THRESHOLD, TestResult, pairwise_session_tests
-from .synth import SynthConfig, generate_dataset
+from .synth import SynthConfig, generate_dataset, write_synthetic
 
 ANALYZE_OUTPUTS = ("table1.csv", "table1.json", "table2.csv", "table2.json",
                    "fig4_data.csv", "fig5_data.csv")
@@ -120,8 +122,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise FileExistsError(f"{outdir}: output directory is not empty")
     config = SynthConfig(n_subjects=args.subjects, samples_per_recording=args.samples,
                          seed=args.seed, device=args.device)
-    dataset = generate_dataset(config)
-    write_dataset(dataset, outdir)
+    write_synthetic(config, outdir)
     print(_json_text(config.to_json_dict()), end="")
     return 0
 

@@ -23,12 +23,14 @@ Missing files are legal; names :func:`recording_path` does not write are ignored
 
 :func:`serialize_svc` and :func:`write_dataset` emit one canonical text
 (tokens with no ``+`` and no leading zeros, single spaces, LF line ends),
-formatted in numpy's C loops by :func:`_svc_bytes`.
+formatted by :func:`_svc_bytes` from two tables of five-digit words.
 
-Three functions share one process fan-out (:func:`_fan_out`), each with one
-subject's session as the unit of work: :func:`write_dataset` and
-:func:`load_dataset` (a session directory, at most nine files) and
-:func:`hwfatigue.synth.generate_dataset` (a session's nine recordings).  The
+Every dataset-wide function makes one process fan-out (:func:`_fan_out`),
+with one subject's session as the unit of work: :func:`write_dataset` and
+:func:`load_dataset` (a session directory, at most nine files),
+:func:`hwfatigue.synth.generate_dataset` (a session's nine recordings) and
+:func:`hwfatigue.synth.write_synthetic` (a session drawn, checked and
+written by the process that owns it, which sends back only its paths).  The
 units are spread over one process per CPU in this process's affinity set;
 there is no flag.  The calling process works through its own share while
 forked children work through theirs; each child sends its results back as
@@ -63,7 +65,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -450,29 +452,58 @@ def serialize_svc(samples) -> str:
     return _svc_bytes(_checked_rows(samples, MAX_PRESSURE_LEVEL, copy=False)).decode("ascii")
 
 
+_LIMB = 10**5  # one limb is five decimal digits
+
+
+@functools.cache
+def _limb_words() -> tuple[np.ndarray, np.ndarray]:
+    """``(bare, padded)``: the 8-byte word of each limb value 0..99999.
+    Bytes 1-5 hold its five digits; byte 0 (sign slot), byte 6 (separator
+    slot) and byte 7 are NUL.  ``padded`` keeps the leading zeros;
+    ``bare`` makes them NUL but keeps the units digit.  Built through a
+    uint8 view, so the bytes sit in this order whatever the byte order."""
+    limb = np.arange(_LIMB)
+    padded = np.zeros((_LIMB, 8), np.uint8)
+    for col, power in enumerate((10**4, 10**3, 100, 10, 1), start=1):
+        padded[:, col] = limb // power % 10 + ord("0")
+    bare = padded.copy()
+    for col, power in enumerate((10**4, 10**3, 100, 10), start=1):
+        bare[limb < power, col] = 0
+    return bare.view(np.uint64).ravel(), padded.view(np.uint64).ravel()
+
+
 def _svc_bytes(samples: np.ndarray) -> bytes:
     """:func:`serialize_svc` of an (N, 7) int64 array already checked, as bytes.
 
-    Each of the 7N tokens gets one row of a byte matrix as wide as the
-    largest magnitude's digits plus two: a sign slot, the digits
-    right-aligned, and a space (an LF after every seventh token).  The sign
-    slot of a non-negative value and the leading-zero slots stay NUL, and
-    one ``bytes.translate`` deletes every NUL.
+    Each magnitude is split into as many base-10**5 limbs as the largest
+    one needs, and each limb becomes one word of :func:`_limb_words`: the
+    padded word after a non-zero higher limb, the bare word for the first
+    non-zero limb or a zero value's last limb, and an all-NUL word for the
+    zero limbs in front.  The first word of a negative value gets ``-`` in
+    its sign slot, the last word of each value a space (an LF after every
+    seventh token) in its separator slot, and one ``bytes.translate``
+    deletes every NUL.
     """
+    bare, padded = _limb_words()
     values = samples.ravel()
     q = np.abs(values).view(np.uint64)  # abs(-2**63) wraps to -2**63, which is 2**63 as uint64
-    digits = len(str(int(q.max())))
-    tokens = np.zeros((values.size, digits + 2), np.uint8)
-    tokens[:, 0] = np.where(values < 0, ord("-"), 0)
-    tokens[:, -1] = ord(" ")
-    tokens[N_COLUMNS - 1::N_COLUMNS, -1] = ord("\n")
-    for col in range(digits, 0, -1):
-        quotient = q // 10
-        digit = q - 10 * quotient + ord("0")
-        # The units digit is written even for 0, a higher one only while q > 0.
-        tokens[:, col] = digit if col == digits else np.where(q > 0, digit, 0)
-        q = quotient
-    return f"{len(samples)}\n".encode() + tokens.tobytes().translate(None, b"\0")
+    n_limbs = -(-len(str(int(q.max()))) // 5)
+    words = np.empty((values.size, n_limbs), np.uint64)
+    for j in range(n_limbs):
+        last = j == n_limbs - 1
+        high = q if last else q // _LIMB ** (n_limbs - 1 - j)  # this limb and those above
+        if j == 0:  # below _LIMB, with no higher limb to pad after
+            words[:, j] = bare[high.astype(np.intp)]
+        else:
+            limb = (high % _LIMB).astype(np.intp)
+            words[:, j] = np.where(high >= _LIMB, padded[limb], bare[limb])
+        if not last:
+            words[high == 0, j] = 0
+    slots = words.view(np.uint8).reshape(values.size, 8 * n_limbs)
+    slots[values < 0, 0] = ord("-")
+    slots[:, -2] = ord(" ")
+    slots[N_COLUMNS - 1::N_COLUMNS, -2] = ord("\n")
+    return f"{len(samples)}\n".encode() + words.tobytes().translate(None, b"\0")
 
 
 def recording_path(root: Path, subject_id: int, session_id: int, task_id: int) -> Path:
@@ -538,12 +569,19 @@ def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:
     parallel (see the module docstring).
     """
     root = Path(root)
-    too_large = next((s for s in dataset.subjects() if s > MAX_SUBJECT_ID), None)
-    if too_large is not None:
-        raise DatasetError(f"subject_id {too_large} does not fit the subject<NN> layout")
+    _check_subject_ids(dataset.subjects())
     sessions = [list(group) for _, group in itertools.groupby(dataset, lambda r: r.key[:2])]
+    _limb_words()  # built once here, so that forked children inherit the tables
     written = _fan_out(functools.partial(_write_session, root=root), sessions)
     return [path for paths in written for path in paths]
+
+
+def _check_subject_ids(subject_ids: Iterable[int]) -> None:
+    """DatasetError naming the first of ``subject_ids`` (in ascending order)
+    above :data:`MAX_SUBJECT_ID`, which the two-digit layout cannot hold."""
+    too_large = next((s for s in subject_ids if s > MAX_SUBJECT_ID), None)
+    if too_large is not None:
+        raise DatasetError(f"subject_id {too_large} does not fit the subject<NN> layout")
 
 
 def _write_session(recordings: list[Recording], root: Path) -> list[Path]:

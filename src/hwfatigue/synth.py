@@ -23,7 +23,10 @@ is ``loc + scale * standard_normal``: the same values as one ``normal`` call
 per channel.  ``generate_dataset`` draws one session (9 recordings) per call
 of the kernel and spreads sessions over processes like
 :func:`hwfatigue.data.write_dataset` does; the per-recording streams make the
-output the same for any process count.
+output the same for any process count.  :func:`write_synthetic` runs the
+same kernel, check and writer in one fan-out: the process that draws a
+session also writes its nine files, so no process holds more than one
+session's arrays and only paths come back to the caller.
 
 Pressure model: each sample saturates (emits ``max_level``) with probability
 p_sat and otherwise draws round(N(600, 150)) clamped to [1, max_level - 1].
@@ -36,13 +39,15 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
                    COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS,
-                   _fan_out, _int_in, _recording, _sample_fault)
+                   _check_subject_ids, _fan_out, _int_in, _limb_words, _recording,
+                   _sample_fault, _write_session)
 
 _PRESSURE_MEAN = 600.0
 _PRESSURE_SD = 150.0
@@ -274,8 +279,35 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     arrays alive.
     """
     means = _draw_means(TASKS, config.samples_per_recording)
-    sessions = [(subject_id, session_id) for subject_id in range(1, config.n_subjects + 1)
-                for session_id in SESSIONS]
+    sessions = _sessions(config)
     blocks = _fan_out(functools.partial(_checked_samples, config, means, TASKS), sessions)
     return Dataset(recording for session, block in zip(sessions, blocks)
                    for recording in _session_recordings(config, TASKS, session, block))
+
+
+def write_synthetic(config: SynthConfig, root: Path | str) -> list[Path]:
+    """Write the dataset of ``config`` under ``root``: the same files, and
+    the same returned paths, as ``write_dataset(generate_dataset(config),
+    root)``.  Each session is drawn, checked and written by the process that
+    owns it (see :mod:`hwfatigue.data`), so memory does not grow with the
+    campaign.  A subject count the two-digit layout cannot hold is refused
+    before anything is created."""
+    root = Path(root)
+    _check_subject_ids(range(1, config.n_subjects + 1))
+    means = _draw_means(TASKS, config.samples_per_recording)
+    _limb_words()  # built once here, so that forked children inherit the tables
+    written = _fan_out(functools.partial(_write_synthetic_session, config, means, root),
+                       _sessions(config))
+    return [path for paths in written for path in paths]
+
+
+def _write_synthetic_session(config: SynthConfig, means: np.ndarray, root: Path,
+                             session: tuple[int, int]) -> list[Path]:
+    block = _checked_samples(config, means, TASKS, session)
+    return _write_session(_session_recordings(config, TASKS, session, block), root)
+
+
+def _sessions(config: SynthConfig) -> list[tuple[int, int]]:
+    """Every ``(subject_id, session_id)`` of the campaign, in walk order."""
+    return [(subject_id, session_id) for subject_id in range(1, config.n_subjects + 1)
+            for session_id in SESSIONS]

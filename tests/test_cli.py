@@ -4,6 +4,8 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -100,12 +102,38 @@ class TestSynthCommand:
                                                      monkeypatch, output):
         taken = tmp_path / "taken"
         taken.write_text("keep\n")
-        monkeypatch.setattr(cli, "generate_dataset", pytest.fail)
+        monkeypatch.setattr(cli, "write_synthetic", pytest.fail)
         code, stdout, stderr = run_cli(capsys, *synth_args(tmp_path / output))
         assert code == 1
         assert stderr == f"error: {taken}: not a directory\n"
         assert stdout == ""
         assert read_tree(tmp_path) == {"taken": b"keep\n"}
+
+    # Each process holds one session at a time, so the peak does not depend
+    # on the campaign size; a process that holds all 40 subjects' arrays
+    # peaks near 230 MB.
+    PEAK_RSS_LIMIT_MB = 60
+
+    def test_peak_memory_does_not_grow_with_the_campaign(self, tmp_path):
+        # A process keeps its pre-exec peak through exec, and this test
+        # process is large, so a small interpreter in between runs the
+        # command and reports the peak of the command's process tree.
+        script = ("import resource, subprocess, sys\n"
+                  "code = subprocess.run([sys.executable, '-m', 'hwfatigue.cli', *sys.argv[1:]],\n"
+                  "                      stdout=subprocess.DEVNULL).returncode\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-c", script, *synth_args(tmp_path / "ds", subjects=40, samples=2000)],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        code, peak = map(int, run.stdout.split())
+        assert code == 0, run.stderr
+        assert len(list((tmp_path / "ds").rglob("*.svc"))) == 40 * 5 * 9
+        peak_mb = peak / (1024**2 if sys.platform == "darwin" else 1024)  # ru_maxrss units
+        assert peak_mb <= self.PEAK_RSS_LIMIT_MB
 
     def test_empty_output_directory_accepted(self, tmp_path, capsys):
         out = tmp_path / "ds"

@@ -16,7 +16,7 @@ from hwfatigue import cli, data, synth
 from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
                             SvcParseError, load_dataset, parse_svc, read_svc,
                             recording_path, serialize_svc, write_dataset)
-from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording
+from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording, write_synthetic
 
 VALID_TEXT = "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023\n"
 INT64_MAX = 2**63 - 1
@@ -292,6 +292,21 @@ class TestIngestArbitraryBytes:
         assert np.array_equal(dataset.get(1, 1, 1).samples, samples)
 
 
+# The encoder's limb boundaries (10**5 per limb) and the ends of int64, in
+# every column; the pressure column takes the non-negative ones.
+BOUNDARIES = [0, 1, -1, 99_999, -99_999, 100_000, -100_000, 10**10 - 1, -(10**10 - 1),
+              10**10, -10**10, 10**15, -10**15, 10**18, -2**63, INT64_MAX]
+LAYOUT_INPUTS = [
+    np.array([[-30000, 12, 0, 1, -7, 600, 0],
+              [5, -123456789, 10, 0, 3599, 0, 1023],
+              [0, 0, 2**31 - 1, 1, -2**31, 9, 100]], dtype=np.int64),
+    np.array([[BOUNDARIES[i], BOUNDARIES[i - 4], t, i % 2, BOUNDARIES[i - 8],
+               BOUNDARIES[i - 12], [v for v in BOUNDARIES if v >= 0][i % 9]]
+              for i, t in enumerate(sorted(BOUNDARIES))], dtype=np.int64),
+    np.zeros((3, 7), dtype=np.int64),
+]
+
+
 class TestSerializeSvc:
     def test_canonical_text(self):
         samples = parse_svc(VALID_TEXT)
@@ -328,10 +343,14 @@ class TestSerializeSvc:
         lambda a: a.tolist(),
     ], ids=["fortran", "strided-rows", "strided-columns", "int32", "list"])
     def test_any_layout_gives_the_oracle_text(self, layout):
-        arr = np.array([[-30000, 12, 0, 1, -7, 600, 0],
-                        [5, -123456789, 10, 0, 3599, 0, 1023],
-                        [0, 0, 2**31 - 1, 1, -2**31, 9, 100]], dtype=np.int64)
-        assert serialize_svc(layout(arr)) == oracles.svc_text_by_format(arr)
+        checked = 0
+        for arr in LAYOUT_INPUTS:
+            held = layout(arr)
+            if not np.array_equal(held, arr):  # int32 cannot hold the boundaries past 2**31
+                continue
+            assert serialize_svc(held) == oracles.svc_text_by_format(arr)
+            checked += 1
+        assert checked >= 2
 
     @pytest.mark.parametrize("value", [5.7, np.nan, 1e30])
     def test_refuses_non_integer_samples(self, value):
@@ -573,6 +592,15 @@ class TestDatasetIO:
             write_dataset(ds, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_write_synthetic_rejects_three_digit_subject(self, tmp_path, monkeypatch):
+        # The layout is checked before any session is drawn or any directory made.
+        monkeypatch.setattr(synth, "_checked_samples", pytest.fail)
+        with pytest.raises(DatasetError) as exc:
+            write_synthetic(SynthConfig(n_subjects=100, samples_per_recording=5),
+                            tmp_path / "ds")
+        assert str(exc.value) == "subject_id 100 does not fit the subject<NN> layout"
+        assert list(tmp_path.iterdir()) == []
+
 
 PROCESS_COUNTS = (1, 2, 3)
 
@@ -604,9 +632,10 @@ class _ExitWhenPickled:
 
 
 class TestFanOut:
-    """``write_dataset``, ``load_dataset`` and ``generate_dataset`` give the
-    same files, results and errors whatever the process count; the count is
-    forced so that the forked path runs on a one-CPU host too."""
+    """``write_dataset``, ``load_dataset``, ``generate_dataset`` and
+    ``write_synthetic`` give the same files, results and errors whatever the
+    process count; the count is forced so that the forked path runs on a
+    one-CPU host too."""
 
     @pytest.fixture()
     def processes(self, monkeypatch):
@@ -752,6 +781,41 @@ class TestFanOut:
         assert errors[0][:2] == (ValueError, "subject 1, session 2, task 4: sample 5: "
                                              "pressure 1024 outside [0, 1023]")
 
+    def test_write_synthetic_same_bytes_and_paths_as_generate_then_write(self, tmp_path,
+                                                                          processes):
+        config = SynthConfig(n_subjects=3, samples_per_recording=30, seed=9)
+        expected = write_dataset(generate_dataset(config), tmp_path / "split")
+        want = {p.relative_to(tmp_path / "split"): p.read_bytes() for p in expected}
+        assert len(want) == 135
+        for n in PROCESS_COUNTS:
+            processes(n)
+            root = tmp_path / f"n{n}"
+            written = write_synthetic(config, root)
+            assert multiprocessing.active_children() == []
+            assert [p.relative_to(root) for p in written] == list(want)
+            assert {p.relative_to(root): p.read_bytes() for p in root.rglob("*.svc")} == want
+
+    @pytest.mark.parametrize("faulty_session", [(1, 2), (2, 2)], ids=["child", "caller"])
+    def test_write_synthetic_fault_matches_one_process(self, tmp_path, processes, monkeypatch,
+                                                       faulty_session):
+        # Chunk 1 (subject 1, session 2) falls in a child's share for n = 2
+        # and n = 3; chunk 6 (subject 2, session 2) in the caller's.
+        checked = synth._checked_samples
+
+        def faulty(config, means, task_ids, session):
+            if session == faulty_session:
+                raise ValueError(f"injected fault in {session}")
+            return checked(config, means, task_ids, session)
+
+        monkeypatch.setattr(synth, "_checked_samples", faulty)
+        config = SynthConfig(n_subjects=2, samples_per_recording=20)
+        errors = []
+        for n in PROCESS_COUNTS:
+            processes(n)
+            errors.append(error_of(lambda: write_synthetic(config, tmp_path / f"n{n}")))
+            assert multiprocessing.active_children() == []
+        assert errors == [(ValueError, f"injected fault in {faulty_session}", None, None)] * 3
+
 
 class TestCheckedOnce:
     """Samples are checked once per array the package builds: once per
@@ -775,6 +839,11 @@ class TestCheckedOnce:
     def test_generate_checks_once_per_session(self, calls):
         ds = generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=20))
         assert len(ds) == 90
+        assert calls == [(9, 20, 7)] * 10
+
+    def test_write_synthetic_checks_once_per_session(self, tmp_path, calls):
+        written = write_synthetic(SynthConfig(n_subjects=2, samples_per_recording=20), tmp_path)
+        assert len(written) == 90
         assert calls == [(9, 20, 7)] * 10
 
     def test_load_checks_once_per_file(self, tmp_path, calls):
