@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -139,11 +140,32 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     outputs, _, summary = analyze_dataset(dataset, feature=args.feature, alpha=args.alpha,
                                           exact_threshold=args.exact_threshold)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        (outdir / name).write_text(text, newline="\n")
+    _write_outputs(outdir, outputs)
     for line in summary:
         print(line)
     return 0
+
+
+def _write_outputs(outdir: Path, outputs: dict[str, str]) -> None:
+    """Write each artifact to a temporary name in ``outdir`` and move it into
+    place with ``os.replace``, so none is ever half-written.  On a failure
+    the temporary and every artifact already moved into place are removed:
+    a failed run leaves no artifact."""
+    placed = []
+    try:
+        for name, text in outputs.items():
+            temporary = outdir / f".{name}.{os.getpid()}.tmp"
+            try:
+                temporary.write_text(text, newline="\n")
+                os.replace(temporary, outdir / name)
+            except BaseException:
+                temporary.unlink(missing_ok=True)
+                raise
+            placed.append(outdir / name)
+    except BaseException:
+        for path in placed:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def cmd_features(args: argparse.Namespace) -> int:

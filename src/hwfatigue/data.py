@@ -30,18 +30,22 @@ with one subject's session as the unit of work: :func:`write_dataset` and
 :func:`load_dataset` (a session directory, at most nine files),
 :func:`hwfatigue.synth.generate_dataset` (a session's nine recordings) and
 :func:`hwfatigue.synth.write_synthetic` (a session drawn, checked and
-written by the process that owns it, which sends back only its paths).  The
-units are spread over one process per CPU in this process's affinity set;
-there is no flag.  The calling process works through its own share while
-forked children work through theirs; each child sends its results back as
-one protocol-5 pickle once its share is done.  The written bytes, the
-returned paths or dataset and any error raised do not depend on the process
-count: a fault is reported as a one-process walk would report it, the first
-faulty unit in walk order.  Python 3.12 and later warn
-(``DeprecationWarning``) when a multi-threaded process forks, and importing
-numpy leaves its OpenBLAS threads running; the children only draw random
-numbers, parse, format and do file I/O, make no BLAS call, and leave
-through ``os._exit``.
+written by the process that owns it, which sends back only its paths).
+:func:`hwfatigue.stats.pairwise_session_tests` uses the same fan-out for
+its exact tests, one session-pair test per unit, once their summed cost
+passes a bound.  The units are spread over one process per CPU in this
+process's affinity set; there is no flag.  The calling process and the
+forked children each run one unit, then take the next unclaimed unit from a
+counter they share until none is left, so a process the host slows down
+runs fewer units instead of holding the others up at the end of a fixed
+share; each child sends its results back as one protocol-5 pickle once it
+stops.  The written bytes, the returned paths or dataset and any error
+raised do not depend on the process count: a fault is reported as a
+one-process walk would report it, the first faulty unit in walk order.
+Python 3.12 and later warn (``DeprecationWarning``) when a multi-threaded
+process forks, and importing numpy leaves its OpenBLAS threads running; the
+children only draw random numbers, parse, format, count rank sums and do
+file I/O, make no BLAS call, and leave through ``os._exit``.
 
 One function, :func:`_sample_fault`, checks every sample array, and every
 array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
@@ -59,6 +63,7 @@ import enum
 import functools
 import io
 import itertools
+import mmap
 import os
 import pickle
 import re
@@ -605,13 +610,14 @@ def _process_count() -> int:
 def _fan_out(fn: Callable, chunks: Sequence) -> list:
     """``[fn(chunk) for chunk in chunks]``, spread over one process per CPU.
 
-    Chunk ``i`` runs in process ``i % n``, ``n = min(CPUs, len(chunks))``.
-    The calling process runs share 0 itself and ``n - 1`` forked children
-    run the others, so no more processes are busy than there are CPUs.
-    ``fn`` and the chunks reach the children through fork and are never
-    pickled.  Every process runs its share up to its first failing chunk
-    (:func:`_outcomes`); each child sends its outcomes as one protocol-5
-    pickle once its share is done.  Once all are in and every child is
+    With ``n = min(CPUs, len(chunks))`` processes, the calling process runs
+    chunk 0 and forked child ``k`` runs chunk ``k``; then each claims the
+    lowest chunk no process has claimed yet (:func:`_claims`) until none is
+    left, so no more processes are busy than there are CPUs and none waits
+    on another's fixed share.  ``fn`` and the chunks reach the children
+    through fork and are never pickled.  Every process stops at its first
+    failing chunk (:func:`_outcomes`); each child sends its outcomes as one
+    protocol-5 pickle once it stops.  Once all are in and every child is
     reaped, the failure of the earliest chunk is raised, which is the one
     ``n = 1`` (run inline) would raise.
     """
@@ -621,55 +627,76 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    workers = []
+    counter = mmap.mmap(-1, 8)  # the next chunk to claim, shared with the children
+    counter[:] = n.to_bytes(8, "little")
+    claims = functools.partial(_claims, end=len(chunks), counter=counter, lock=context.Lock())
+    workers, lost = [], None
     try:
         for k in range(1, n):
             read_fd, write_fd = os.pipe()
-            worker = context.Process(target=_run_share, args=(fn, chunks[k::n], write_fd),
+            worker = context.Process(target=_run_child, args=(fn, chunks, claims(k), write_fd),
                                      daemon=True)
             worker.start()
             os.close(write_fd)
             workers.append((worker, open(read_fd, "rb")))
-        shares = [_outcomes(fn, chunks[0::n])]
+        outcomes = _outcomes(fn, chunks, claims(0))
         for worker, pipe in workers:
             try:
-                shares.append(pickle.load(pipe))
+                outcomes += pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 worker.join()
-                shares.append([(False, OSError(f"worker process exited with code "
-                                               f"{worker.exitcode} before reporting its results"))])
+                lost = lost or OSError(f"worker process exited with code {worker.exitcode} "
+                                       "before reporting its results")
     finally:
         for worker, pipe in workers:
             pipe.close()
             worker.join()
-    # A share's outcomes end at its first failure, so walking the chunks in
-    # order meets a failure before it would pass the end of any share.
+        counter.close()
+    # Chunks are claimed in order and a process claims none after its first
+    # failure, so a chunk without an outcome lies past an earlier failure or
+    # was claimed by a child that died before reporting.
+    by_chunk = {i: (ok, value) for i, ok, value in outcomes}
     results = []
     for i in range(len(chunks)):
-        ok, value = shares[i % n][i // n]
+        ok, value = by_chunk.get(i, (False, lost))
         if not ok:
             raise value
         results.append(value)
     return results
 
 
-def _outcomes(fn: Callable, share: Sequence) -> list[tuple[bool, object]]:
-    """``(True, fn(chunk))`` for each chunk of ``share`` up to its first
-    failure, which ends the list as ``(False, error)``."""
+def _claims(first: int, end: int, counter: mmap.mmap, lock) -> Iterator[int]:
+    """``first``, then chunk numbers below ``end`` claimed one at a time by
+    taking and incrementing the shared ``counter`` under ``lock``."""
+    yield first
+    while True:
+        with lock:
+            i = int.from_bytes(counter, "little")
+            counter[:] = (i + 1).to_bytes(8, "little")
+        if i >= end:
+            return
+        yield i
+
+
+def _outcomes(fn: Callable, chunks: Sequence,
+              claimed: Iterable[int]) -> list[tuple[int, bool, object]]:
+    """``(i, True, fn(chunks[i]))`` for each claimed chunk ``i`` up to the
+    first failure, which ends the list as ``(i, False, error)`` and stops
+    the claims."""
     outcomes = []
-    for chunk in share:
+    for i in claimed:
         try:
-            outcomes.append((True, fn(chunk)))
+            outcomes.append((i, True, fn(chunks[i])))
         except Exception as err:
-            outcomes.append((False, err))
+            outcomes.append((i, False, err))
             break
     return outcomes
 
 
-def _run_share(fn: Callable, share: Sequence, fd: int) -> None:
-    """Body of a forked child: write the :func:`_outcomes` of ``share`` to
-    the pipe end ``fd`` as one protocol-5 pickle.  The pickler writes each
-    array's data straight from its memory and the caller's unpickler reads
-    it into the new array, so it is not copied on the way."""
+def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], fd: int) -> None:
+    """Body of a forked child: write the :func:`_outcomes` of the chunks it
+    claims to the pipe end ``fd`` as one protocol-5 pickle.  The pickler
+    writes each array's data straight from its memory and the caller's
+    unpickler reads it into the new array, so it is not copied on the way."""
     with open(fd, "wb") as pipe:
-        pickle.dump(_outcomes(fn, share), pipe, protocol=5)
+        pickle.dump(_outcomes(fn, chunks, claimed), pipe, protocol=5)

@@ -22,6 +22,12 @@ mean when the observed sum lies above it, only sums up to the observed one
 are tabulated, and each rank updates just the rows and columns that can
 still contribute.  The counts are exact int64 integers, at most
 C(64, 32) < 2**63, so the p-value equals the full table's bit for bit.
+
+:func:`pairwise_session_tests` runs up to 90 tests.  When the exact ones
+add up to enough work (``_FAN_OUT_COST``), it spreads them over the CPUs
+with :func:`hwfatigue.data._fan_out`, one session-pair test per unit, and
+runs the normal approximations itself; smaller work stays in the calling
+process, where a fork would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -34,12 +40,26 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
+from .data import _fan_out
+
 # Maximum pooled size for which the exact distribution is used by default.
 DEFAULT_EXACT_THRESHOLD = 25
 
 # Largest pooled size of the exact path, whose int64 subset counts stay at or
 # below C(64, 32) < 2**63; ``ranksum`` uses the normal approximation above it.
 _EXACT_HARD_LIMIT = 64
+
+# Summed cube of the pooled sizes of one call's exact tests from which
+# ``pairwise_session_tests`` spreads them over the CPUs: about 20 tests at
+# pooled size 64.  Measured on a 2-vCPU Xeon (Python 3.11, numpy 2.4): one
+# exact test takes 0.16 ms at N = 24, 0.27 ms at 32 and 1.55 ms at 64; a
+# ``_fan_out`` of two trivial units takes 4.9 ms from a bare interpreter and
+# 6.1 ms holding a 53 MB heap.  Holding that heap, 64-value tests broke even
+# at 10 per call (17 ms inline) and saved 11 ms at 30 and 61 ms at 90
+# (175 ms inline).  From N = 24 to 64 the cost grows more slowly than N**3,
+# so smaller tests must add up to more work than 64-value ones before they
+# fork: the bound forks only where the fork clearly pays.
+_FAN_OUT_COST = 20 * 64 ** 3
 
 # Canonical column order of the pairwise session comparisons.
 SESSION_PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
@@ -178,10 +198,14 @@ def ranksum_normal(a, b) -> RankSumResult:
                          n_a=n_a, n_b=n_b)
 
 
+def _uses_exact(pooled_size: int, exact_threshold: int) -> bool:
+    return pooled_size <= min(exact_threshold, _EXACT_HARD_LIMIT)
+
+
 def ranksum(a, b, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> RankSumResult:
     """Two-sided rank-sum test, exact for pooled sizes up to
     ``min(exact_threshold, 64)`` and normal-approximated above."""
-    if np.size(a) + np.size(b) <= min(exact_threshold, _EXACT_HARD_LIMIT):
+    if _uses_exact(np.size(a) + np.size(b), exact_threshold):
         return ranksum_exact(a, b)
     return ranksum_normal(a, b)
 
@@ -199,8 +223,16 @@ def pairwise_session_tests(
     ``UserWarning`` per call gives their count.  A second ``UserWarning``
     says the p-values are degenerate when every tested cell holds fewer than
     2 values.
+
+    When the exact tests' summed cost (the cubes of their pooled sizes)
+    reaches ``_FAN_OUT_COST``, they run one per unit through
+    :func:`hwfatigue.data._fan_out` and the normal approximations run in
+    the calling process; the first failing exact test is then raised before
+    any failing approximation.  Below it every test runs in order in the
+    calling process.  The results, warnings and errors do not depend on the
+    process count.
     """
-    results: list[TestResult] = []
+    pairs = []  # (task, session_a, session_b, values_a, values_b, exact) in output order
     skipped = 0
     tasks = sorted({task for task, _ in values_by_cell})
     for task in tasks:
@@ -212,9 +244,18 @@ def pairwise_session_tests(
             if va is None or va.size == 0 or vb is None or vb.size == 0:
                 skipped += 1
                 continue
-            r = ranksum(va, vb, exact_threshold=exact_threshold)
-            results.append(TestResult(task_id=task, session_a=session_a,
-                                      session_b=session_b, **vars(r)))
+            exact = _uses_exact(va.size + vb.size, exact_threshold)
+            pairs.append((task, session_a, session_b, va, vb, exact))
+    exact_pairs = [(va, vb) for *_, va, vb, exact in pairs if exact]
+    if sum((va.size + vb.size) ** 3 for va, vb in exact_pairs) >= _FAN_OUT_COST:
+        exact_results = iter(_fan_out(lambda ab: ranksum_exact(*ab), exact_pairs))
+    else:  # lazily, so that each test runs in output order
+        exact_results = itertools.starmap(ranksum_exact, exact_pairs)
+    results: list[TestResult] = []
+    for task, session_a, session_b, va, vb, exact in pairs:
+        r = next(exact_results) if exact else ranksum_normal(va, vb)
+        results.append(TestResult(task_id=task, session_a=session_a,
+                                  session_b=session_b, **vars(r)))
     if skipped:
         warnings.warn(f"skipping {skipped} session pairs with no data for one or "
                       "both sessions", UserWarning, stacklevel=2)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hwfatigue import cli, data
+from hwfatigue import cli, data, stats
 from hwfatigue.cli import ANALYZE_OUTPUTS, build_parser, main
 from hwfatigue.data import Dataset, write_dataset
 from hwfatigue.synth import SynthConfig, generate_dataset
@@ -280,6 +281,49 @@ class TestAnalyzeCommand:
         assert stderr.startswith("error:") and stdout == ""
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "keep\n"
+
+    @pytest.mark.parametrize("failing_write", range(1, len(ANALYZE_OUTPUTS) + 1))
+    def test_write_fault_leaves_no_artifact(self, dataset_dir, tmp_path, capsys, monkeypatch,
+                                            failing_write):
+        # The k-th artifact write runs out of space after half its text.
+        write_text, writes = Path.write_text, []
+
+        def write_or_fail(path, text, *args, **kwargs):
+            writes.append(path)
+            if len(writes) == failing_write:
+                write_text(path, text[:len(text) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return write_text(path, text, *args, **kwargs)
+
+        out = tmp_path / "res"
+        argv = ["analyze", "--input", str(dataset_dir), "--output", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", write_or_fail)
+            code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: [Errno 28] No space left on device")
+        assert stderr.count("\n") == 1
+        assert len(writes) == failing_write
+        assert list(out.iterdir()) == []
+        assert run_cli(capsys, *argv)[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(ANALYZE_OUTPUTS)
+
+    def test_fanned_out_exact_tests_give_the_same_artifacts(self, dataset_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        # The fan-out bound is lowered so that this small grid's exact tests
+        # fan out; JSON floats round-trip, so equal bytes are equal bits.
+        argv = ["analyze", "--input", str(dataset_dir), "--exact-threshold", "64"]
+        assert run_cli(capsys, *argv, "--output", str(tmp_path / "inline"))[0] == 0
+        inline = read_tree(tmp_path / "inline")
+        table2 = json.loads(inline["table2.json"])
+        assert {cell["method"] for row in table2["rows"] for cell in row["cells"].values()} \
+            == {"exact"}
+        monkeypatch.setattr(stats, "_FAN_OUT_COST", 0)
+        for n in (1, 2, 3):
+            monkeypatch.setattr(data, "_process_count", lambda: n)
+            assert run_cli(capsys, *argv, "--output", str(tmp_path / f"n{n}"))[0] == 0
+            assert multiprocessing.active_children() == []
+            assert read_tree(tmp_path / f"n{n}") == inline
 
     def test_invalid_sat_level_rerun_keeps_artifacts(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "res"

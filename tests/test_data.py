@@ -675,7 +675,8 @@ class TestFanOut:
     ])
     def test_fault_in_a_child_share_matches_one_process(self, root, processes,
                                                         subject, session, content):
-        # Chunks 1 and 7 fall in a child's share for n = 2 and n = 3.
+        # Chunk 1 runs in a child for n = 2 and n = 3, chunk 7 in whichever
+        # process claims it.
         bad = root / f"subject{subject:02d}" / f"session{session}" / "task5.svc"
         bad.write_text(content)
         errors = []
@@ -687,8 +688,8 @@ class TestFanOut:
         assert errors[0][1].startswith(str(bad))
 
     def test_first_fault_in_walk_order_wins_across_shares(self, root, processes):
-        # Chunks 1 (a child) and 2 (the caller when n = 2, a child when n = 3)
-        # both fail; for n = 2 the caller's own failure comes first in time.
+        # Chunks 1 (a child) and 2 (the first claimed, often by the caller)
+        # both fail; the caller's own failure may come first in time.
         first = root / "subject01" / "session2" / "task9.svc"
         first.write_text("1\n1 2 3 7 0 0 5\n")
         (root / "subject01" / "session3" / "task1.svc").write_text("junk\n")
@@ -703,7 +704,7 @@ class TestFanOut:
         for n in PROCESS_COUNTS:
             processes(n)
             root = tmp_path / f"n{n}"
-            # Chunk 1 (a child) and chunk 6 (the caller for n = 2 and 3) fail.
+            # Chunk 1 (a child) and chunk 6 (whichever process claims it) fail.
             (root / "subject01" / "session2" / "task4.svc").mkdir(parents=True)
             (root / "subject02" / "session2" / "task1.svc").mkdir(parents=True)
             kind, text, _, _ = error_of(lambda: write_dataset(ds, root))
@@ -742,6 +743,23 @@ class TestFanOut:
         assert str(exc.value) == "worker process exited with code 5 before reporting its results"
         assert multiprocessing.active_children() == []
 
+    def test_every_chunk_claimed_exactly_once(self, processes, tmp_path):
+        # More processes than CPUs race for the shared counter; each chunk
+        # appends its number to one file, so a lost or doubled claim shows.
+        log = tmp_path / "claims"
+
+        def fn(chunk):
+            with open(log, "a") as f:
+                f.write(f"{chunk} {os.getpid()}\n")
+            return -chunk
+
+        processes(4)
+        assert data._fan_out(fn, range(3000)) == [-c for c in range(3000)]
+        assert multiprocessing.active_children() == []
+        claims = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(chunk) for chunk, _ in claims) == list(range(3000))
+        assert len({pid for _, pid in claims}) == 4
+
     def test_generate_same_recordings_for_any_count(self, processes):
         config = SynthConfig(n_subjects=3, samples_per_recording=30, seed=9)
         datasets = []
@@ -760,8 +778,8 @@ class TestFanOut:
                     rec.samples[0, data.COL_PRESSURE] = 0
 
     def test_generate_fault_in_a_child_share_matches_one_process(self, processes, monkeypatch):
-        # Chunk 1 (subject 1, session 2) falls in a child's share for n = 2
-        # and n = 3; chunk 6 (subject 2, session 2) in the caller's.
+        # Chunk 1 (subject 1, session 2) runs in a child for n = 2 and n = 3,
+        # chunk 6 (subject 2, session 2) in whichever process claims it.
         kernel = synth._generate_samples
 
         def faulty(config, subject_id, session_id, task_ids, means):
@@ -795,11 +813,11 @@ class TestFanOut:
             assert [p.relative_to(root) for p in written] == list(want)
             assert {p.relative_to(root): p.read_bytes() for p in root.rglob("*.svc")} == want
 
-    @pytest.mark.parametrize("faulty_session", [(1, 2), (2, 2)], ids=["child", "caller"])
+    @pytest.mark.parametrize("faulty_session", [(1, 2), (1, 1)], ids=["child", "caller"])
     def test_write_synthetic_fault_matches_one_process(self, tmp_path, processes, monkeypatch,
                                                        faulty_session):
-        # Chunk 1 (subject 1, session 2) falls in a child's share for n = 2
-        # and n = 3; chunk 6 (subject 2, session 2) in the caller's.
+        # Chunk 1 (subject 1, session 2) runs in a child for n = 2 and n = 3,
+        # chunk 0 (subject 1, session 1) in the caller.
         checked = synth._checked_samples
 
         def faulty(config, means, task_ids, session):

@@ -1,10 +1,17 @@
+import multiprocessing
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hwfatigue import data, report, stats
 from hwfatigue.stats import (SESSION_PAIRS, midranks, pairwise_session_tests,
                              ranksum, ranksum_exact, ranksum_normal)
+
+from hwfatigue.synth import SynthConfig, generate_dataset
 
 from oracles import (doubled_midranks, exact_ranksum_p_by_enumeration,
                      full_table_ranksum)
@@ -294,3 +301,146 @@ class TestPairwiseSessionTests:
         approx = pairwise_session_tests(cells, exact_threshold=3)
         assert all(r.method == "exact" for r in exact)
         assert all(r.method == "normal_approx" for r in approx)
+
+
+def _sparse_grid(seed, n):
+    """Cells of 1..n values for tasks 1-3, with session 4 of task 2 and
+    session 1 of task 3 missing: 22 tested pairs, 8 skipped."""
+    rng = np.random.default_rng(seed)
+    return {(t, s): rng.normal(size=1 + (3 * t + s) % n).tolist()
+            for t in (1, 2, 3) for s in range(1, 6) if (t, s) not in {(2, 4), (3, 1)}}
+
+
+def _tests_and_warnings(cells, exact_threshold):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = pairwise_session_tests(cells, exact_threshold=exact_threshold)
+    return results, [(w.category, str(w.message)) for w in caught]
+
+
+def _fields(results):
+    """Every field of every result, with each float as its exact bits."""
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in vars(r).items()}
+            for r in results]
+
+
+class TestFanOut:
+    """``pairwise_session_tests`` gives the same results, warnings and
+    errors whether its exact tests fan out or not, and whatever the process
+    count; the bound is lowered so that small grids fan out, and the count
+    is forced so that the forked path runs on a one-CPU host too."""
+
+    @pytest.fixture()
+    def processes(self, monkeypatch):
+        return lambda n: monkeypatch.setattr(data, "_process_count", lambda: n)
+
+    # Exact below pooled size 12, normal above; the second grid holds one
+    # value per cell, so the degenerate-p warning joins the skipped-pairs one.
+    GRIDS = [(_sparse_grid(40, 9), 12), (_sparse_grid(41, 1), 25)]
+
+    @pytest.mark.parametrize("cells, exact_threshold", GRIDS, ids=["mixed", "degenerate"])
+    def test_same_results_and_warnings_for_any_count(self, processes, monkeypatch,
+                                                     cells, exact_threshold):
+        inline = _tests_and_warnings(cells, exact_threshold)
+        results, caught = inline
+        assert len(results) == 22
+        assert {r.method for r in results} == ({"exact", "normal_approx"}
+                                               if exact_threshold == 12 else {"exact"})
+        assert caught[0] == (UserWarning, "skipping 8 session pairs with no data for "
+                                          "one or both sessions")
+        monkeypatch.setattr(stats, "_FAN_OUT_COST", 0)
+        for n in (1, 2, 3):
+            processes(n)
+            fanned, fanned_caught = _tests_and_warnings(cells, exact_threshold)
+            assert multiprocessing.active_children() == []
+            assert _fields(fanned) == _fields(results)
+            assert fanned_caught == caught
+
+    @pytest.mark.parametrize("unit", [1, 0], ids=["child", "caller"])
+    def test_fault_in_one_test_matches_one_process(self, processes, monkeypatch, tmp_path,
+                                                   unit):
+        # Exact unit 1 runs in a child for n = 2 and 3, unit 0 in the caller;
+        # the failing process leaves its pid in a file to show which it was.
+        cells, exact_threshold = self.GRIDS[0]
+        exact = [r for r in _tests_and_warnings(cells, exact_threshold)[0]
+                 if r.method == "exact"]
+        assert len(exact) > 6
+        bad = exact[unit]
+        values = (cells[(bad.task_id, bad.session_a)], cells[(bad.task_id, bad.session_b)])
+        test, raiser = stats.ranksum_exact, tmp_path / "raiser"
+
+        def faulty(a, b):
+            if (list(a), list(b)) == values:
+                raiser.write_text(str(os.getpid()))
+                raise ValueError(f"injected fault in task {bad.task_id}")
+            return test(a, b)
+
+        monkeypatch.setattr(stats, "ranksum_exact", faulty)
+        message = f"^injected fault in task {bad.task_id}$"
+        with pytest.raises(ValueError, match=message):
+            _tests_and_warnings(cells, exact_threshold)
+        monkeypatch.setattr(stats, "_FAN_OUT_COST", 0)
+        for n in (1, 2, 3):
+            processes(n)
+            with pytest.raises(ValueError, match=message):
+                _tests_and_warnings(cells, exact_threshold)
+            assert multiprocessing.active_children() == []
+            in_caller = raiser.read_text() == str(os.getpid())
+            assert in_caller == (unit == 0 or n == 1)
+
+    def test_runs_inline_in_a_daemonic_worker(self, monkeypatch):
+        # A Pool worker is daemonic and may not fork children of its own.
+        cells, exact_threshold = self.GRIDS[0]
+        monkeypatch.setattr(stats, "_FAN_OUT_COST", 0)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply_async(_fields_of_tests,
+                                         (cells, exact_threshold)).get(timeout=60)
+        assert in_worker == _fields_of_tests(cells, exact_threshold)
+
+
+def _fields_of_tests(cells, exact_threshold):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return _fields(pairwise_session_tests(cells, exact_threshold=exact_threshold))
+
+
+class TestFanOutBound:
+    """The exact tests fork only when their summed cost passes the bound."""
+
+    @pytest.fixture()
+    def no_fork(self, monkeypatch):
+        def forbid():
+            monkeypatch.setattr(data, "_process_count", lambda: 2)
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the bound"))
+        return forbid
+
+    def test_default_threshold_campaign_does_not_fork(self, no_fork):
+        # The paper's campaign shape: 21 subjects, 42-value pools.
+        cells = report.aggregate(
+            generate_dataset(SynthConfig(n_subjects=21, samples_per_recording=50)),
+            "saturation_ratio").values_by_cell()
+        no_fork()
+        results = pairwise_session_tests(cells)
+        assert len(results) == 90
+        assert {r.method for r in results} == {"normal_approx"}
+
+    def test_small_exact_grid_does_not_fork(self, no_fork):
+        cells = TestPairwiseSessionTests.full_grid(np.random.default_rng(42), n=12)
+        no_fork()
+        results = pairwise_session_tests(cells, exact_threshold=64)
+        assert len(results) == 90
+        assert {r.method for r in results} == {"exact"}
+
+    def test_exact_sweep_grid_fans_out(self, monkeypatch):
+        # 32 subjects with every test exact: 90 pools of 64 values.
+        units = []
+
+        def counted(fn, chunks):
+            units.append(len(chunks))
+            return [fn(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(stats, "_fan_out", counted)
+        cells = TestPairwiseSessionTests.full_grid(np.random.default_rng(43), n=32)
+        results = pairwise_session_tests(cells, exact_threshold=64)
+        assert {r.method for r in results} == {"exact"}
+        assert units == [90]
