@@ -251,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:  # SvcParseError and DatasetError included
+    except (ValueError, OSError, MemoryError) as err:  # SvcParseError, DatasetError too
         print(f"error: {err}", file=sys.stderr)
         return 1
 

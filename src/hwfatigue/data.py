@@ -31,10 +31,10 @@ with one subject's session as the unit of work: :func:`write_dataset` and
 :func:`hwfatigue.synth.generate_dataset` (a session's nine recordings) and
 :func:`hwfatigue.synth.write_synthetic` (a session drawn, checked and
 written by the process that owns it, which sends back only its paths).
-:func:`hwfatigue.stats.pairwise_session_tests` uses the same fan-out for
-its exact tests, one session-pair test per unit, once their summed cost
-passes a bound.  The units are spread over one process per CPU in this
-process's affinity set; there is no flag.  The calling process and the
+:func:`hwfatigue.stats.pairwise_session_tests` uses the same fan-out, one
+session-pair test per unit, once its exact tests' summed cost passes a
+bound.  The units are spread over one process per CPU in this process's
+affinity set; there is no flag.  The calling process and the
 forked children each run one unit, then take the next unclaimed unit from a
 counter they share until none is left, so a process the host slows down
 runs fewer units instead of holding the others up at the end of a fixed
@@ -576,7 +576,6 @@ def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:
     root = Path(root)
     _check_subject_ids(dataset.subjects())
     sessions = [list(group) for _, group in itertools.groupby(dataset, lambda r: r.key[:2])]
-    _limb_words()  # built once here, so that forked children inherit the tables
     written = _fan_out(functools.partial(_write_session, root=root), sessions)
     return [path for paths in written for path in paths]
 

@@ -24,10 +24,10 @@ still contribute.  The counts are exact int64 integers, at most
 C(64, 32) < 2**63, so the p-value equals the full table's bit for bit.
 
 :func:`pairwise_session_tests` runs up to 90 tests.  When the exact ones
-add up to enough work (``_FAN_OUT_COST``), it spreads them over the CPUs
-with :func:`hwfatigue.data._fan_out`, one session-pair test per unit, and
-runs the normal approximations itself; smaller work stays in the calling
-process, where a fork would cost more than it saves.
+add up to enough work (``_FAN_OUT_COST``), it spreads every test over the
+CPUs with :func:`hwfatigue.data._fan_out`, one session-pair test per unit;
+smaller work stays in the calling process, where a fork would cost more
+than it saves.  Either way the error raised is the first in output order.
 """
 
 from __future__ import annotations
@@ -224,38 +224,34 @@ def pairwise_session_tests(
     says the p-values are degenerate when every tested cell holds fewer than
     2 values.
 
-    When the exact tests' summed cost (the cubes of their pooled sizes)
-    reaches ``_FAN_OUT_COST``, they run one per unit through
-    :func:`hwfatigue.data._fan_out` and the normal approximations run in
-    the calling process; the first failing exact test is then raised before
-    any failing approximation.  Below it every test runs in order in the
-    calling process.  The results, warnings and errors do not depend on the
-    process count.
+    Each session-pair test is one :func:`ranksum` call.  When the exact
+    tests' summed cost (the cubes of their pooled sizes) reaches
+    ``_FAN_OUT_COST``, every test runs as one unit of
+    :func:`hwfatigue.data._fan_out`; below it they run in the calling
+    process.  Either way the results, the warnings and the error raised
+    (the first failing test in output order) are those of a one-process
+    loop, whatever the process count.
     """
-    pairs = []  # (task, session_a, session_b, values_a, values_b, exact) in output order
+    pairs = []  # (task, session_a, session_b, values_a, values_b) in output order
     skipped = 0
-    tasks = sorted({task for task, _ in values_by_cell})
-    for task in tasks:
+    for task in sorted({task for task, _ in values_by_cell}):
         cells = {session: np.asarray(values_by_cell[(task, session)], dtype=np.float64)
                  for t, session in values_by_cell if t == task}
         for session_a, session_b in SESSION_PAIRS:
-            va = cells.get(session_a)
-            vb = cells.get(session_b)
+            va, vb = cells.get(session_a), cells.get(session_b)
             if va is None or va.size == 0 or vb is None or vb.size == 0:
                 skipped += 1
                 continue
-            exact = _uses_exact(va.size + vb.size, exact_threshold)
-            pairs.append((task, session_a, session_b, va, vb, exact))
-    exact_pairs = [(va, vb) for *_, va, vb, exact in pairs if exact]
-    if sum((va.size + vb.size) ** 3 for va, vb in exact_pairs) >= _FAN_OUT_COST:
-        exact_results = iter(_fan_out(lambda ab: ranksum_exact(*ab), exact_pairs))
-    else:  # lazily, so that each test runs in output order
-        exact_results = itertools.starmap(ranksum_exact, exact_pairs)
-    results: list[TestResult] = []
-    for task, session_a, session_b, va, vb, exact in pairs:
-        r = next(exact_results) if exact else ranksum_normal(va, vb)
-        results.append(TestResult(task_id=task, session_a=session_a,
-                                  session_b=session_b, **vars(r)))
+            pairs.append((task, session_a, session_b, va, vb))
+
+    def compare(pair):
+        task, session_a, session_b, va, vb = pair
+        return TestResult(task_id=task, session_a=session_a, session_b=session_b,
+                          **vars(ranksum(va, vb, exact_threshold)))
+
+    sizes = (va.size + vb.size for *_, va, vb in pairs)
+    cost = sum(n ** 3 for n in sizes if _uses_exact(n, exact_threshold))
+    results = _fan_out(compare, pairs) if cost >= _FAN_OUT_COST else list(map(compare, pairs))
     if skipped:
         warnings.warn(f"skipping {skipped} session pairs with no data for one or "
                       "both sessions", UserWarning, stacklevel=2)

@@ -46,8 +46,8 @@ import numpy as np
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
                    COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS,
-                   _check_subject_ids, _fan_out, _int_in, _limb_words, _recording,
-                   _sample_fault, _write_session)
+                   _check_subject_ids, _fan_out, _int_in, _recording, _sample_fault,
+                   _write_session)
 
 _PRESSURE_MEAN = 600.0
 _PRESSURE_SD = 150.0
@@ -295,7 +295,6 @@ def write_synthetic(config: SynthConfig, root: Path | str) -> list[Path]:
     root = Path(root)
     _check_subject_ids(range(1, config.n_subjects + 1))
     means = _draw_means(TASKS, config.samples_per_recording)
-    _limb_words()  # built once here, so that forked children inherit the tables
     written = _fan_out(functools.partial(_write_synthetic_session, config, means, root),
                        _sessions(config))
     return [path for paths in written for path in paths]

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import hashlib
@@ -5,17 +6,24 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwfatigue import cli, data, stats
 from hwfatigue.cli import ANALYZE_OUTPUTS, build_parser, main
-from hwfatigue.data import Dataset, write_dataset
+from hwfatigue.data import SESSIONS, TASKS, Dataset, write_dataset
+from hwfatigue.report import FEATURES
 from hwfatigue.synth import SynthConfig, generate_dataset
+
+from oracles import full_table_ranksum, mean_by_summation, saturation_ratio_by_loop
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +117,17 @@ class TestSynthCommand:
         assert stderr == f"error: {taken}: not a directory\n"
         assert stdout == ""
         assert read_tree(tmp_path) == {"taken": b"keep\n"}
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhaust(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "write_synthetic", exhaust)
+        out = tmp_path / "ds"
+        code, stdout, stderr = run_cli(capsys, *synth_args(out))
+        assert code == 1 and stdout == ""
+        assert stderr == "error: Unable to allocate 745. GiB for an array\n"
+        assert not out.exists()
 
     # Each process holds one session at a time, so the peak does not depend
     # on the campaign size; a process that holds all 40 subjects' arrays
@@ -222,6 +241,19 @@ class TestAnalyzeCommand:
         assert stdout == ""
         assert taken.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "taken"]
+
+    def test_memory_error_is_one_error_line(self, dataset_dir, tmp_path, capsys,
+                                            monkeypatch):
+        def exhaust(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "load_dataset", exhaust)
+        out = tmp_path / "res"
+        code, stdout, stderr = run_cli(capsys, "analyze", "--input", str(dataset_dir),
+                                       "--output", str(out))
+        assert code == 1 and stdout == ""
+        assert stderr == "error: Unable to allocate 745. GiB for an array\n"
+        assert not out.exists()
 
     def test_empty_input_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -456,6 +488,129 @@ class TestAnalyzeCommand:
         assert pa != pb
         # table1 is the same either way, it always reports mean pressure
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
+
+
+MALFORMED_LINES = ("1 2 3 9 5 6 7", "1 2 3", "x 2 3 1 5 6 7", "1 2 3 1 5 6 -1")
+
+
+@st.composite
+def campaigns(draw):
+    """``synth`` flags of a small campaign, the ``analyze`` threshold and
+    feature, and what to break in its tree in between: files or whole
+    sessions removed, and maybe one file overwritten with a malformed line."""
+    subjects = draw(st.integers(1, 4))
+    session = st.tuples(st.integers(1, subjects), st.sampled_from(SESSIONS))
+    return {
+        "synth": ["--subjects", str(subjects), "--samples", str(draw(st.integers(1, 30))),
+                  "--seed", str(draw(st.integers(0, 2**32)))],
+        "exact_threshold": draw(st.integers(0, 64)),
+        "feature": draw(st.sampled_from(FEATURES)),
+        "removed": draw(st.lists(st.tuples(session, st.none() | st.sampled_from(TASKS)),
+                                 max_size=8)),
+        "malformed": draw(st.none() | st.tuples(session, st.sampled_from(TASKS),
+                                                st.sampled_from(MALFORMED_LINES))),
+    }
+
+
+def run_quietly(*argv):
+    """Exit code, stdout, stderr and warnings of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), [(w.category, str(w.message)) for w in caught]
+
+
+def break_tree(root: Path, removed, malformed) -> None:
+    for (subject, session), task in removed:
+        path = data.recording_path(root, subject, session, task or 1)
+        if task is None:
+            shutil.rmtree(path.parent, ignore_errors=True)
+        else:
+            path.unlink(missing_ok=True)
+    if malformed is not None:
+        (subject, session), task, line = malformed
+        path = data.recording_path(root, subject, session, task)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"1\n{line}\n")
+
+
+def pairwise_results(root: Path, feature: str, exact_threshold: int) -> list[dict]:
+    """Every field of the pairwise test results ``analyze_dataset`` returns
+    for the dataset under ``root``, in their order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _, results, _ = cli.analyze_dataset(data.load_dataset(root), feature=feature,
+                                            exact_threshold=exact_threshold)
+    return [vars(r) for r in results]
+
+
+def cell_values(tree: dict[str, bytes], feature: str) -> dict[tuple[int, int], list[float]]:
+    """Per-subject feature values of each (task, session), computed by the
+    oracles from the pressure column of the files in ``tree``."""
+    cells = {}
+    for name, content in tree.items():  # in path order, so by subject id
+        _, session_dir, task_file = Path(name).parts
+        pressure = [int(line.split()[6]) for line in content.decode().splitlines()[1:]]
+        value = (saturation_ratio_by_loop(pressure, 1023) if feature == "saturation_ratio"
+                 else mean_by_summation(pressure))
+        key = (int(task_file[len("task"):-len(".svc")]), int(session_dir[len("session"):]))
+        cells.setdefault(key, []).append(value)
+    return cells
+
+
+class TestFanOutContract:
+    """``synth`` and ``analyze`` give the same files, output, warnings,
+    error and pairwise results whether their work fans out or not, on 1, 2
+    or 3 processes, and each exact p-value is the full table's."""
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(campaigns())
+    def test_same_outcome_for_any_process_count_and_bound(self, campaign):
+        feature, exact_threshold = campaign["feature"], campaign["exact_threshold"]
+        with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+            root = Path(scratch)
+            synths, trees = [], []
+            for n in (1, 2, 3):
+                patch.setattr(data, "_process_count", lambda: n)
+                synths.append(run_quietly("synth", "--output", str(root / f"ds{n}"),
+                                          *campaign["synth"]))
+                trees.append(read_tree(root / f"ds{n}"))
+                assert multiprocessing.active_children() == []
+            assert synths[0][0] == 0
+            assert synths == [synths[0]] * 3
+            assert trees == [trees[0]] * 3
+            dataset = root / "ds1"
+            break_tree(dataset, campaign["removed"], campaign["malformed"])
+
+            analyses = []
+            for cost in (0, stats._FAN_OUT_COST):
+                for n in (1, 2, 3):
+                    patch.setattr(stats, "_FAN_OUT_COST", cost)
+                    patch.setattr(data, "_process_count", lambda: n)
+                    out = root / f"res-{cost}-{n}"
+                    run = run_quietly("analyze", "--input", str(dataset), "--output", str(out),
+                                      "--exact-threshold", str(exact_threshold),
+                                      "--feature", feature)
+                    analyses.append((*run, read_tree(out) if out.exists() else None,
+                                     pairwise_results(dataset, feature, exact_threshold)
+                                     if run[0] == 0 else None))
+                    assert multiprocessing.active_children() == []
+            assert analyses == [analyses[0]] * 6
+            code, stdout, stderr, _, artifacts, _ = analyses[0]
+            if code != 0:
+                assert code == 1 and stdout == "" and artifacts is None
+                assert stderr.startswith("error: ") and stderr.count("\n") == 1
+                return
+            assert stderr == "" and sorted(artifacts) == sorted(ANALYZE_OUTPUTS)
+            cells = cell_values(read_tree(dataset), feature)
+            table2 = json.loads(artifacts["table2.json"])
+            for row in table2["rows"]:
+                for (a, b), cell in zip(stats.SESSION_PAIRS, row["cells"].values()):
+                    if cell is not None and cell["method"] == "exact":
+                        values = cells[(row["task"], a)], cells[(row["task"], b)]
+                        assert (cell["p_value"], cell["rank_sum"]) == full_table_ranksum(*values)
 
 
 class TestFeaturesCommand:

@@ -388,6 +388,30 @@ class TestFanOut:
             in_caller = raiser.read_text() == str(os.getpid())
             assert in_caller == (unit == 0 or n == 1)
 
+    def test_first_failure_in_output_order_is_raised(self, processes, monkeypatch):
+        # Pair 2 (a normal approximation) and pair 11 (an exact test) both
+        # fail; pair 2 comes first in output order, so its error is raised
+        # however the tests are spread over processes.
+        cells, exact_threshold = self.GRIDS[0]
+        results = _tests_and_warnings(cells, exact_threshold)[0]
+        assert [results[i].method for i in (2, 11)] == ["normal_approx", "exact"]
+        for i, name in ((2, "ranksum_normal"), (11, "ranksum_exact")):
+            r = results[i]
+            values = (cells[(r.task_id, r.session_a)], cells[(r.task_id, r.session_b)])
+
+            def faulty(a, b, test=getattr(stats, name), values=values, i=i):
+                if (list(a), list(b)) == values:
+                    raise ValueError(f"injected fault in pair {i}")
+                return test(a, b)
+
+            monkeypatch.setattr(stats, name, faulty)
+        monkeypatch.setattr(stats, "_FAN_OUT_COST", 0)
+        for n in (1, 2, 3):
+            processes(n)
+            with pytest.raises(ValueError, match="^injected fault in pair 2$"):
+                _tests_and_warnings(cells, exact_threshold)
+            assert multiprocessing.active_children() == []
+
     def test_runs_inline_in_a_daemonic_worker(self, monkeypatch):
         # A Pool worker is daemonic and may not fork children of its own.
         cells, exact_threshold = self.GRIDS[0]
