@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -29,7 +30,8 @@ from .features import extract_features
 from .report import (DEFAULT_ALPHA, DEFAULT_FEATURE, FEATURES, _check_alpha, _check_feature,
                      aggregate, render_fig_data_csv, render_table1_csv, render_table1_json,
                      render_table2_csv, render_table2_json, significant_labels)
-from .stats import DEFAULT_EXACT_THRESHOLD, TestResult, pairwise_session_tests
+from .stats import (DEFAULT_EXACT_THRESHOLD, TestResult, _check_exact_threshold,
+                    pairwise_session_tests)
 from .synth import SynthConfig, generate_dataset, write_synthetic
 
 ANALYZE_OUTPUTS = ("table1.csv", "table1.json", "table2.csv", "table2.json",
@@ -77,11 +79,12 @@ def analyze_dataset(dataset: Dataset, feature: str = DEFAULT_FEATURE,
     Returns the rendered artifact texts keyed by output file name, the raw
     pairwise test results, and the per-task significance summary lines.
     ``feature`` selects what the session comparisons are run on; table1 and
-    fig5 always describe mean pressure, fig4 always saturation.  An unknown
-    ``feature`` or an ``alpha`` outside (0, 1) is refused before any work.
+    fig5 always describe mean pressure, fig4 always saturation.  A bad
+    ``feature``, ``alpha`` or ``exact_threshold`` is refused before any work.
     """
     _check_feature(feature)
     _check_alpha(alpha)
+    _check_exact_threshold(exact_threshold)
     grid_sat = aggregate(dataset, "saturation_ratio")
     grid_mp = aggregate(dataset, "mean_pressure")
     tested_grid = grid_sat if feature == "saturation_ratio" else grid_mp
@@ -121,9 +124,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _check_output_dir(outdir)
     if outdir.is_dir() and any(outdir.iterdir()):
         raise FileExistsError(f"{outdir}: output directory is not empty")
+    absent = [p for p in (outdir, *outdir.parents) if not p.exists()]  # innermost first
     config = SynthConfig(n_subjects=args.subjects, samples_per_recording=args.samples,
                          seed=args.seed, device=args.device)
-    write_synthetic(config, outdir)
+    try:
+        write_synthetic(config, outdir)
+    except BaseException:
+        # outdir was absent or empty and _fan_out has reaped every writer: all in it is this run's.
+        for path in absent[-1:] or outdir.iterdir():
+            shutil.rmtree(path, ignore_errors=True)
+        raise
     print(_json_text(config.to_json_dict()), end="")
     return 0
 
@@ -149,22 +159,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _write_outputs(outdir: Path, outputs: dict[str, str]) -> None:
     """Write each artifact to a temporary name in ``outdir`` and move it into
     place with ``os.replace``, so none is ever half-written.  On a failure
-    the temporary and every artifact already moved into place are removed:
-    a failed run leaves no artifact."""
-    placed = []
+    every temporary and artifact name is removed; ``cmd_analyze`` removed
+    the artifacts before any work, so a failed run leaves none."""
+    temporaries = {name: outdir / f".{name}.{os.getpid()}.tmp" for name in outputs}
     try:
         for name, text in outputs.items():
-            temporary = outdir / f".{name}.{os.getpid()}.tmp"
-            try:
-                temporary.write_text(text, newline="\n")
-                os.replace(temporary, outdir / name)
-            except BaseException:
-                temporary.unlink(missing_ok=True)
-                raise
-            placed.append(outdir / name)
+            temporaries[name].write_text(text, newline="\n")
+            os.replace(temporaries[name], outdir / name)
     except BaseException:
-        for path in placed:
-            path.unlink(missing_ok=True)
+        for name, temporary in temporaries.items():
+            temporary.unlink(missing_ok=True)
+            (outdir / name).unlink(missing_ok=True)
         raise
 
 
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--alpha", type=_flag(float, _check_alpha), default=DEFAULT_ALPHA,
                            help="significance threshold, in (0, 1) (default %(default)s)")
     p_analyze.add_argument("--exact-threshold", default=DEFAULT_EXACT_THRESHOLD,
-                           type=_flag(int, _int_in, "exact_threshold", low=0),
+                           type=_flag(int, _check_exact_threshold),
                            help="max pooled size for the exact test, at least 0; "
                                 "pooled sizes above 64 always use the normal "
                                 "approximation (default %(default)s)")

@@ -59,7 +59,6 @@ in: a ceiling or saturation level, a recording id, a count, a seed, a flag.
 
 from __future__ import annotations
 
-import enum
 import functools
 import io
 import itertools
@@ -119,11 +118,6 @@ class SvcParseError(ValueError):
 
 class DatasetError(ValueError):
     """Invalid dataset content or layout (duplicate keys, a bad root or subject id)."""
-
-
-class PenStatus(enum.IntEnum):
-    UP = 0
-    DOWN = 1
 
 
 def _int_in(name: str, value, low: int | None = None, high: int | None = None) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MAX_PRESSURE_LEVEL, PenStatus, Recording, _int_in
+from .data import MAX_PRESSURE_LEVEL, Recording, _int_in
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +72,7 @@ def extract_features(recording: Recording, pen_down_only: bool = False) -> Featu
     none is pen-down.  The speeds are ``n_samples - 1`` long: empty for one.
     """
     if pen_down_only:
-        mask = recording.pen_status == int(PenStatus.DOWN)
+        mask = recording.pen_status == 1
         if not mask.any():
             raise ValueError("recording has no pen-down samples")
         x, y, pressure = recording.x[mask], recording.y[mask], recording.pressure[mask]

@@ -11,7 +11,9 @@ approximation:
     z       = (|W - mu_W| - 0.5)_+ / sigma_W        (0.5 toward the mean)
     p       = 2 Phi(-z)
 
-where N = n_a + n_b and t runs over tie-group sizes of the pooled values.
+where N = n_a + n_b and t runs over the tie-group sizes of the pooled
+values.  One sort gives both tests their ranks, as integer doubled mid-ranks,
+and those sizes; NaN, which has no place in the order, raises ValueError.
 The two-sided exact p-value is min(1, 2 min(P(W <= w), P(W >= w))), both
 tails including the observed value.
 
@@ -40,10 +42,16 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .data import _fan_out
+from .data import _fan_out, _int_in
 
 # Maximum pooled size for which the exact distribution is used by default.
 DEFAULT_EXACT_THRESHOLD = 25
+
+
+def _check_exact_threshold(exact_threshold) -> int:
+    """``exact_threshold`` as an int; ValueError unless an integer >= 0."""
+    return _int_in("exact_threshold", exact_threshold, 0)
+
 
 # Largest pooled size of the exact path, whose int64 subset counts stay at or
 # below C(64, 32) < 2**63; ``ranksum`` uses the normal approximation above it.
@@ -94,34 +102,30 @@ def midranks(values) -> np.ndarray:
     """Ranks of ``values`` with ties averaged (mid-ranks).
 
     Ranks are 1-based; a tie group occupying rank positions i..j receives
-    (i + j) / 2.  The output always sums to n(n+1)/2.
+    (i + j) / 2.  The output always sums to n(n+1)/2.  NaN raises ValueError.
     """
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"expected a 1-d series, got shape {a.shape}")
-    if a.size == 0:
-        raise ValueError("cannot rank an empty series")
-    order = np.argsort(a, kind="stable")
-    s = a[order]
-    boundary = np.empty(a.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = s[1:] != s[:-1]
-    starts = np.flatnonzero(boundary)
-    counts = np.diff(np.append(starts, a.size))
-    group_rank = starts + (counts + 1) / 2.0
-    ranks = np.empty(a.size, dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, counts)
-    return ranks
+    return _doubled_midranks(values)[0] / 2.0
 
 
-def _validate_two_samples(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be non-empty")
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("samples must be 1-d series")
-    return a, b
+def _doubled_midranks(*samples) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the mid-ranks of the pooled ``samples``, first sample first, as
+    int64, and the sizes of their tie groups: the one ranking pass of every
+    rank-sum function.  A group of ``size`` values from 0-based sorted
+    position ``start`` gets ``2 * start + size + 1``.  ValueError unless
+    each sample is a non-empty 1-d series without NaN."""
+    arrays = [np.asarray(x, dtype=np.float64) for x in samples]
+    if any(x.ndim != 1 or x.size == 0 for x in arrays):
+        raise ValueError("samples must be non-empty 1-d series")
+    pooled = np.concatenate(arrays)
+    order = np.argsort(pooled, kind="stable")
+    s = pooled[order]
+    if np.isnan(s[-1]):  # NaN sorts last
+        raise ValueError("cannot rank NaN")
+    starts = np.flatnonzero(np.append(True, s[1:] != s[:-1]))
+    sizes = np.diff(np.append(starts, s.size))
+    doubled = np.empty(s.size, dtype=np.int64)
+    doubled[order] = np.repeat(2 * starts + sizes + 1, sizes)
+    return doubled, sizes
 
 
 def _smaller_tail_count(doubled: np.ndarray, k: int, w2: int) -> int:
@@ -163,12 +167,10 @@ def ranksum_exact(a, b) -> RankSumResult:
     is permutation-exact conditional on the observed tie pattern.  Pooled
     sizes above 64 raise ``ValueError``.
     """
-    a, b = _validate_two_samples(a, b)
-    n_a, n_b = a.size, b.size
+    doubled, _ = _doubled_midranks(a, b)
+    n_a, n_b = len(a), len(b)
     if n_a + n_b > _EXACT_HARD_LIMIT:
         raise ValueError(f"exact method supports at most {_EXACT_HARD_LIMIT} pooled values")
-    ranks = midranks(np.concatenate([a, b]))
-    doubled = np.rint(2.0 * ranks).astype(np.int64)
     w2 = int(doubled[:n_a].sum())
     tail = _smaller_tail_count(doubled, n_a, w2)
     p = min(1.0, 2.0 * tail / math.comb(n_a + n_b, n_a))
@@ -178,24 +180,19 @@ def ranksum_exact(a, b) -> RankSumResult:
 def ranksum_normal(a, b) -> RankSumResult:
     """Normal-approximation two-sided rank-sum test (tie and continuity
     corrected; see module docstring for the exact formulas)."""
-    a, b = _validate_two_samples(a, b)
-    n_a, n_b = a.size, b.size
+    doubled, tie_sizes = _doubled_midranks(a, b)
+    n_a, n_b = len(a), len(b)
     n = n_a + n_b
-    pooled = np.concatenate([a, b])
-    ranks = midranks(pooled)
-    w = float(ranks[:n_a].sum())
+    w = int(doubled[:n_a].sum()) / 2.0
     mu = n_a * (n + 1) / 2.0
-
-    _, tie_sizes = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(tie_sizes.astype(np.float64) ** 3 - tie_sizes))
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0.0:
-        return RankSumResult(rank_sum=w, p_value=1.0, method="normal_approx",
-                             n_a=n_a, n_b=n_b)
-    z = max(abs(w - mu) - 0.5, 0.0) / math.sqrt(var)
-    p = min(1.0, math.erfc(z / math.sqrt(2.0)))
-    return RankSumResult(rank_sum=w, p_value=p, method="normal_approx",
-                         n_a=n_a, n_b=n_b)
+        p = 1.0
+    else:
+        z = max(abs(w - mu) - 0.5, 0.0) / math.sqrt(var)
+        p = min(1.0, math.erfc(z / math.sqrt(2.0)))
+    return RankSumResult(rank_sum=w, p_value=p, method="normal_approx", n_a=n_a, n_b=n_b)
 
 
 def _uses_exact(pooled_size: int, exact_threshold: int) -> bool:
@@ -205,7 +202,7 @@ def _uses_exact(pooled_size: int, exact_threshold: int) -> bool:
 def ranksum(a, b, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> RankSumResult:
     """Two-sided rank-sum test, exact for pooled sizes up to
     ``min(exact_threshold, 64)`` and normal-approximated above."""
-    if _uses_exact(np.size(a) + np.size(b), exact_threshold):
+    if _uses_exact(np.size(a) + np.size(b), _check_exact_threshold(exact_threshold)):
         return ranksum_exact(a, b)
     return ranksum_normal(a, b)
 
@@ -230,8 +227,9 @@ def pairwise_session_tests(
     :func:`hwfatigue.data._fan_out`; below it they run in the calling
     process.  Either way the results, the warnings and the error raised
     (the first failing test in output order) are those of a one-process
-    loop, whatever the process count.
+    loop, whatever the process count.  A bad ``exact_threshold`` is refused first.
     """
+    exact_threshold = _check_exact_threshold(exact_threshold)
     pairs = []  # (task, session_a, session_b, values_a, values_b) in output order
     skipped = 0
     for task in sorted({task for task, _ in values_by_cell}):

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from hwfatigue import cli, data, stats
 from hwfatigue.cli import ANALYZE_OUTPUTS, build_parser, main
-from hwfatigue.data import SESSIONS, TASKS, Dataset, write_dataset
+from hwfatigue.data import SESSIONS, TASKS, Dataset, DeviceProfile, write_dataset
 from hwfatigue.report import FEATURES
 from hwfatigue.synth import SynthConfig, generate_dataset
 
-from oracles import full_table_ranksum, mean_by_summation, saturation_ratio_by_loop
+from oracles import (full_table_ranksum, generate_recording_reference, mean_by_summation,
+                     saturation_ratio_by_loop, svc_text_by_format)
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,41 @@ class TestSynthCommand:
         code, _, _ = run_cli(capsys, *synth_args(out))
         assert code == 0
         assert len(list(out.rglob("*.svc"))) == 2 * 5 * 9
+
+    # The first file, one of session 2 (the first unit of a forked child at 2
+    # or 3 processes) or the last file runs out of space after half its bytes.
+    @pytest.mark.parametrize("failing", ["subject01/session1/task1.svc",
+                                         "subject01/session2/task5.svc",
+                                         "subject02/session5/task9.svc"])
+    @pytest.mark.parametrize("output", ["ds", "new/ds", "empty"])
+    def test_write_fault_leaves_output_as_found(self, tmp_path, capsys, monkeypatch,
+                                                failing, output):
+        write_bytes = Path.write_bytes
+
+        def write_or_fail(path, content):
+            if path.as_posix().endswith(failing):
+                write_bytes(path, content[:len(content) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return write_bytes(path, content)
+
+        out = tmp_path / output
+        if output == "empty":
+            out.mkdir()
+        for n in (1, 2, 3):
+            monkeypatch.setattr(data, "_process_count", lambda: n)
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "write_bytes", write_or_fail)
+                code, stdout, stderr = run_cli(capsys, *synth_args(out))
+            assert code == 1 and stdout == ""
+            assert stderr.startswith("error: [Errno 28] No space left on device")
+            assert stderr.count("\n") == 1
+            assert multiprocessing.active_children() == []
+            assert sorted(p.name for p in tmp_path.iterdir()) == (["empty"] if output == "empty"
+                                                                  else [])
+            assert output != "empty" or list(out.iterdir()) == []
+        assert run_cli(capsys, *synth_args(out))[0] == 0
+        assert run_cli(capsys, *synth_args(tmp_path / "clean"))[0] == 0
+        assert read_tree(out) == read_tree(tmp_path / "clean")
 
     @pytest.mark.parametrize("flag, value", [
         ("--subjects", "100"), ("--subjects", "120"), ("--subjects", "x"),
@@ -462,6 +498,19 @@ class TestAnalyzeCommand:
             with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
                 cli.analyze_dataset(Dataset(), alpha=alpha)
 
+    @pytest.mark.parametrize("exact_threshold", ["64", None, True, 2.5, -1])
+    def test_bad_exact_threshold_refused_before_work(self, monkeypatch, exact_threshold):
+        for module, name in ((cli, "aggregate"), (stats, "ranksum_exact"),
+                             (stats, "ranksum_normal"), (stats, "_fan_out")):
+            monkeypatch.setattr(module, name, pytest.fail)
+        cells = {(1, session): [0.1, 0.2] for session in SESSIONS}
+        refused = "^exact_threshold must be (an integer|at least 0)"
+        for call in (lambda: stats.ranksum([0.1], [0.2], exact_threshold),
+                     lambda: stats.pairwise_session_tests(cells, exact_threshold),
+                     lambda: cli.analyze_dataset(Dataset(), exact_threshold=exact_threshold)):
+            with pytest.raises(ValueError, match=refused):
+                call()
+
     def test_alpha_flag_changes_flags(self, dataset_dir, tmp_path, capsys):
         strict = tmp_path / "strict"
         run_cli(capsys, "analyze", "--input", str(dataset_dir),
@@ -495,14 +544,16 @@ MALFORMED_LINES = ("1 2 3 9 5 6 7", "1 2 3", "x 2 3 1 5 6 7", "1 2 3 1 5 6 -1")
 
 @st.composite
 def campaigns(draw):
-    """``synth`` flags of a small campaign, the ``analyze`` threshold and
-    feature, and what to break in its tree in between: files or whole
-    sessions removed, and maybe one file overwritten with a malformed line."""
+    """The config of a small campaign, its ceiling (``--sat-level`` of both
+    commands), the ``analyze`` threshold and feature, and what to break in
+    its tree in between: files or whole sessions removed, and maybe one file
+    overwritten with a malformed line."""
     subjects = draw(st.integers(1, 4))
     session = st.tuples(st.integers(1, subjects), st.sampled_from(SESSIONS))
     return {
-        "synth": ["--subjects", str(subjects), "--samples", str(draw(st.integers(1, 30))),
-                  "--seed", str(draw(st.integers(0, 2**32)))],
+        "config": SynthConfig(n_subjects=subjects, samples_per_recording=draw(st.integers(1, 30)),
+                              seed=draw(st.integers(0, 2**32)),
+                              device=DeviceProfile(draw(st.integers(1, 2**62)))),
         "exact_threshold": draw(st.integers(0, 64)),
         "feature": draw(st.sampled_from(FEATURES)),
         "removed": draw(st.lists(st.tuples(session, st.none() | st.sampled_from(TASKS)),
@@ -536,51 +587,67 @@ def break_tree(root: Path, removed, malformed) -> None:
         path.write_text(f"1\n{line}\n")
 
 
-def pairwise_results(root: Path, feature: str, exact_threshold: int) -> list[dict]:
+def pairwise_results(root: Path, feature: str, exact_threshold: int,
+                     device: DeviceProfile) -> list[dict]:
     """Every field of the pairwise test results ``analyze_dataset`` returns
     for the dataset under ``root``, in their order."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        _, results, _ = cli.analyze_dataset(data.load_dataset(root), feature=feature,
+        _, results, _ = cli.analyze_dataset(data.load_dataset(root, device), feature=feature,
                                             exact_threshold=exact_threshold)
     return [vars(r) for r in results]
 
 
-def cell_values(tree: dict[str, bytes], feature: str) -> dict[tuple[int, int], list[float]]:
+def recording_key(name: str) -> tuple[int, int, int]:
+    """``(subject, session, task)`` of a tree path ``subjectNN/sessionS/taskT.svc``."""
+    subject_dir, session_dir, task_file = Path(name).parts
+    return (int(subject_dir[len("subject"):]), int(session_dir[len("session"):]),
+            int(task_file[len("task"):-len(".svc")]))
+
+
+def cell_values(tree: dict[str, bytes], feature: str,
+                sat_level: int) -> dict[tuple[int, int], list[float]]:
     """Per-subject feature values of each (task, session), computed by the
     oracles from the pressure column of the files in ``tree``."""
     cells = {}
     for name, content in tree.items():  # in path order, so by subject id
-        _, session_dir, task_file = Path(name).parts
+        _, session, task = recording_key(name)
         pressure = [int(line.split()[6]) for line in content.decode().splitlines()[1:]]
-        value = (saturation_ratio_by_loop(pressure, 1023) if feature == "saturation_ratio"
+        value = (saturation_ratio_by_loop(pressure, sat_level) if feature == "saturation_ratio"
                  else mean_by_summation(pressure))
-        key = (int(task_file[len("task"):-len(".svc")]), int(session_dir[len("session"):]))
-        cells.setdefault(key, []).append(value)
+        cells.setdefault((task, session), []).append(value)
     return cells
 
 
 class TestFanOutContract:
     """``synth`` and ``analyze`` give the same files, output, warnings,
     error and pairwise results whether their work fans out or not, on 1, 2
-    or 3 processes, and each exact p-value is the full table's."""
+    or 3 processes; each file is the reference generator's and writer's,
+    each exact p-value the full table's and each normal one scipy's."""
 
     @settings(max_examples=15, derandomize=True, deadline=None)
     @given(campaigns())
     def test_same_outcome_for_any_process_count_and_bound(self, campaign):
-        feature, exact_threshold = campaign["feature"], campaign["exact_threshold"]
+        scipy_stats = pytest.importorskip("scipy.stats")
+        config, feature = campaign["config"], campaign["feature"]
+        exact_threshold, sat_level = campaign["exact_threshold"], config.device.max_level
         with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
             root = Path(scratch)
             synths, trees = [], []
             for n in (1, 2, 3):
                 patch.setattr(data, "_process_count", lambda: n)
-                synths.append(run_quietly("synth", "--output", str(root / f"ds{n}"),
-                                          *campaign["synth"]))
+                synths.append(run_quietly(
+                    *synth_args(root / f"ds{n}", config.seed, config.n_subjects,
+                                config.samples_per_recording), "--sat-level", str(sat_level)))
                 trees.append(read_tree(root / f"ds{n}"))
                 assert multiprocessing.active_children() == []
             assert synths[0][0] == 0
             assert synths == [synths[0]] * 3
             assert trees == [trees[0]] * 3
+            assert len(trees[0]) == config.n_subjects * len(SESSIONS) * len(TASKS)
+            for name, content in trees[0].items():
+                reference = generate_recording_reference(config, *recording_key(name))
+                assert content == svc_text_by_format(reference.samples).encode()
             dataset = root / "ds1"
             break_tree(dataset, campaign["removed"], campaign["malformed"])
 
@@ -592,9 +659,10 @@ class TestFanOutContract:
                     out = root / f"res-{cost}-{n}"
                     run = run_quietly("analyze", "--input", str(dataset), "--output", str(out),
                                       "--exact-threshold", str(exact_threshold),
-                                      "--feature", feature)
+                                      "--feature", feature, "--sat-level", str(sat_level))
                     analyses.append((*run, read_tree(out) if out.exists() else None,
-                                     pairwise_results(dataset, feature, exact_threshold)
+                                     pairwise_results(dataset, feature, exact_threshold,
+                                                      config.device)
                                      if run[0] == 0 else None))
                     assert multiprocessing.active_children() == []
             assert analyses == [analyses[0]] * 6
@@ -604,13 +672,20 @@ class TestFanOutContract:
                 assert stderr.startswith("error: ") and stderr.count("\n") == 1
                 return
             assert stderr == "" and sorted(artifacts) == sorted(ANALYZE_OUTPUTS)
-            cells = cell_values(read_tree(dataset), feature)
+            cells = cell_values(read_tree(dataset), feature, sat_level)
             table2 = json.loads(artifacts["table2.json"])
             for row in table2["rows"]:
                 for (a, b), cell in zip(stats.SESSION_PAIRS, row["cells"].values()):
-                    if cell is not None and cell["method"] == "exact":
-                        values = cells[(row["task"], a)], cells[(row["task"], b)]
+                    if cell is None:
+                        continue
+                    values = cells[(row["task"], a)], cells[(row["task"], b)]
+                    if cell["method"] == "exact":
                         assert (cell["p_value"], cell["rank_sum"]) == full_table_ranksum(*values)
+                    else:
+                        want = scipy_stats.mannwhitneyu(*values, method="asymptotic",
+                                                        use_continuity=True,
+                                                        alternative="two-sided").pvalue
+                        assert cell["p_value"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestFeaturesCommand:

@@ -217,6 +217,31 @@ class TestDispatch:
             ranksum([1, 2], [])
 
 
+class TestNaN:
+    """NaN has no place in the order, so every ranking refuses it; ranked as
+    distinct values and counted as one tie it used to give p = 1.0."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("a, b", [([NAN, NAN, 1, 2], [3, NAN, 0.5]), ([NAN], [1.0]),
+                                      ([1.0, 2.0], [-NAN, 3.0])])
+    def test_every_ranking_refuses_nan(self, a, b):
+        for rank in (lambda: midranks(a + b), lambda: ranksum_exact(a, b),
+                     lambda: ranksum_normal(a, b)):
+            with pytest.raises(ValueError, match="^cannot rank NaN$"):
+                rank()
+
+    @pytest.mark.parametrize("exact_threshold", [0, 64])
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_pairwise_session_tests_refuse_nan(self, monkeypatch, exact_threshold, processes):
+        monkeypatch.setattr(stats, "_FAN_OUT_COST", 0)
+        monkeypatch.setattr(data, "_process_count", lambda: processes)
+        cells = {(1, session): [0.1, 0.2, 0.3] for session in range(1, 6)}
+        cells[(1, 4)] = [0.1, self.NAN, 0.3]
+        with pytest.raises(ValueError, match="^cannot rank NaN$"):
+            pairwise_session_tests(cells, exact_threshold=exact_threshold)
+
+
 class TestInvariances:
     def test_translation_invariance(self):
         rng = np.random.default_rng(27)
