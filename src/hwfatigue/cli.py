@@ -17,7 +17,9 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +30,8 @@ from .data import (MAX_SUBJECT_ID, Dataset, DatasetError, DeviceProfile, _int_in
                    _recording, load_dataset, read_svc, write_dataset)
 from .features import extract_features
 from .report import (DEFAULT_ALPHA, DEFAULT_FEATURE, FEATURES, _check_alpha, _check_feature,
-                     aggregate, render_fig_data_csv, render_table1_csv, render_table1_json,
-                     render_table2_csv, render_table2_json, significant_labels)
+                     aggregate, render_fig_data_csv, render_fig_data_json, render_table1_csv,
+                     render_table1_json, render_table2_csv, render_table2_json, significant_labels)
 from .stats import (DEFAULT_EXACT_THRESHOLD, TestResult, _check_exact_threshold,
                     pairwise_session_tests)
 from .synth import SynthConfig, generate_dataset, write_synthetic
@@ -90,14 +92,14 @@ def analyze_dataset(dataset: Dataset, feature: str = DEFAULT_FEATURE,
     tested_grid = grid_sat if feature == "saturation_ratio" else grid_mp
     results = pairwise_session_tests(tested_grid.values_by_cell(),
                                      exact_threshold=exact_threshold)
-    table2 = render_table2_json(results, alpha=alpha)
+    table1, table2 = render_table1_json(grid_mp), render_table2_json(results, alpha=alpha)
     outputs = {
-        "table1.csv": render_table1_csv(grid_mp),
-        "table1.json": _json_text(render_table1_json(grid_mp)),
-        "table2.csv": render_table2_csv(results, alpha=alpha),
+        "table1.csv": render_table1_csv(table1),
+        "table1.json": _json_text(table1),
+        "table2.csv": render_table2_csv(table2),
         "table2.json": _json_text(table2),
-        "fig4_data.csv": render_fig_data_csv(grid_sat),
-        "fig5_data.csv": render_fig_data_csv(grid_mp),
+        "fig4_data.csv": render_fig_data_csv(render_fig_data_json(grid_sat)),
+        "fig5_data.csv": render_fig_data_csv(render_fig_data_json(grid_mp)),
     }
     summary = []
     for row in table2["rows"]:
@@ -251,14 +253,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    raise KeyboardInterrupt("terminated")  # unwinds like SIGINT, through every cleanup
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main_thread else None
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as err:  # SvcParseError, DatasetError too
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as err:  # SIGINT, or SIGTERM through _terminate
+        print(f"error: {str(err) or 'interrupted'}", file=sys.stderr)
+        return 143 if err.args else 130
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def entrypoint() -> None:

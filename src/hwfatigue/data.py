@@ -25,27 +25,10 @@ Missing files are legal; names :func:`recording_path` does not write are ignored
 (tokens with no ``+`` and no leading zeros, single spaces, LF line ends),
 formatted by :func:`_svc_bytes` from two tables of five-digit words.
 
-Every dataset-wide function makes one process fan-out (:func:`_fan_out`),
-with one subject's session as the unit of work: :func:`write_dataset` and
-:func:`load_dataset` (a session directory, at most nine files),
-:func:`hwfatigue.synth.generate_dataset` (a session's nine recordings) and
-:func:`hwfatigue.synth.write_synthetic` (a session drawn, checked and
-written by the process that owns it, which sends back only its paths).
-:func:`hwfatigue.stats.pairwise_session_tests` uses the same fan-out, one
-session-pair test per unit, once its exact tests' summed cost passes a
-bound.  The units are spread over one process per CPU in this process's
-affinity set; there is no flag.  The calling process and the
-forked children each run one unit, then take the next unclaimed unit from a
-counter they share until none is left, so a process the host slows down
-runs fewer units instead of holding the others up at the end of a fixed
-share; each child sends its results back as one protocol-5 pickle once it
-stops.  The written bytes, the returned paths or dataset and any error
-raised do not depend on the process count: a fault is reported as a
-one-process walk would report it, the first faulty unit in walk order.
-Python 3.12 and later warn (``DeprecationWarning``) when a multi-threaded
-process forks, and importing numpy leaves its OpenBLAS threads running; the
-children only draw random numbers, parse, format, count rank sums and do
-file I/O, make no BLAS call, and leave through ``os._exit``.
+Every dataset-wide function forks over the CPUs with one subject's session
+as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
+:func:`hwfatigue.synth.generate_dataset` and
+:func:`hwfatigue.synth.write_synthetic`; :func:`_fan_out` says how.
 
 One function, :func:`_sample_fault`, checks every sample array, and every
 array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
@@ -66,6 +49,7 @@ import mmap
 import os
 import pickle
 import re
+import signal
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -570,7 +554,8 @@ def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:
     root = Path(root)
     _check_subject_ids(dataset.subjects())
     sessions = [list(group) for _, group in itertools.groupby(dataset, lambda r: r.key[:2])]
-    written = _fan_out(functools.partial(_write_session, root=root), sessions)
+    written = _fan_out(lambda session: _write_session(root, [r.key for r in session],
+                                                      [r.samples for r in session]), sessions)
     return [path for paths in written for path in paths]
 
 
@@ -582,11 +567,11 @@ def _check_subject_ids(subject_ids: Iterable[int]) -> None:
         raise DatasetError(f"subject_id {too_large} does not fit the subject<NN> layout")
 
 
-def _write_session(recordings: list[Recording], root: Path) -> list[Path]:
-    paths = [recording_path(root, *recording.key) for recording in recordings]
+def _write_session(root: Path, keys: list[tuple[int, int, int]], arrays) -> list[Path]:
+    paths = [recording_path(root, *key) for key in keys]
     paths[0].parent.mkdir(parents=True, exist_ok=True)
-    for recording, path in zip(recordings, paths):
-        path.write_bytes(_svc_bytes(recording.samples))
+    for samples, path in zip(arrays, paths):
+        path.write_bytes(_svc_bytes(samples))
     return paths
 
 
@@ -612,7 +597,13 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     failing chunk (:func:`_outcomes`); each child sends its outcomes as one
     protocol-5 pickle once it stops.  Once all are in and every child is
     reaped, the failure of the earliest chunk is raised, which is the one
-    ``n = 1`` (run inline) would raise.
+    ``n = 1`` (run inline) would raise.  The children ignore SIGINT, and a
+    caller that stops early (an interrupt, say) terminates them before it
+    reaps them, so none runs on after the call.  Python 3.12 and later warn
+    (``DeprecationWarning``) when a multi-threaded process forks, and
+    importing numpy leaves its OpenBLAS threads running; the children only
+    draw random numbers, parse, format, count rank sums and do file I/O,
+    make no BLAS call, and leave through ``os._exit``.
     """
     n = min(_process_count(), len(chunks))
     if n <= 1:
@@ -629,9 +620,14 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
             read_fd, write_fd = os.pipe()
             worker = context.Process(target=_run_child, args=(fn, chunks, claims(k), write_fd),
                                      daemon=True)
-            worker.start()
-            os.close(write_fd)
-            workers.append((worker, open(read_fd, "rb")))
+            # Both signals wait until the child has its own handlers and is in workers.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+            try:
+                worker.start()
+                os.close(write_fd)
+                workers.append((worker, open(read_fd, "rb")))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         outcomes = _outcomes(fn, chunks, claims(0))
         for worker, pipe in workers:
             try:
@@ -643,6 +639,7 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     finally:
         for worker, pipe in workers:
             pipe.close()
+            worker.terminate()  # done if it reported; if not (an interrupt), stopped now
             worker.join()
         counter.close()
     # Chunks are claimed in order and a process claims none after its first
@@ -691,5 +688,8 @@ def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], fd: int) 
     claims to the pipe end ``fd`` as one protocol-5 pickle.  The pickler
     writes each array's data straight from its memory and the caller's
     unpickler reads it into the new array, so it is not copied on the way."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller alone answers an interrupt
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # and stops the child with terminate()
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGINT, signal.SIGTERM))
     with open(fd, "wb") as pipe:
         pickle.dump(_outcomes(fn, chunks, claimed), pipe, protocol=5)

@@ -11,10 +11,10 @@ grid, then renders three artifacts:
   plus the mean's ratio against session 1 of the same task.
 
 Each ``render_*_json`` document alone decides what its artifact holds, at
-full precision with a ``schema_version`` field; the CSV renderer builds it
-and only formats its rows (RFC-4180, LF endings; table1 rounded to integers,
-table2 to three decimals).  Every number is recomputable from the ``values``
-list of the underlying cell.
+full precision with a ``schema_version`` field; the matching CSV renderer
+takes that document and only formats its rows (RFC-4180, LF endings; table1
+rounded to integers, table2 to three decimals).  Every number is
+recomputable from the ``values`` list of the underlying cell.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import csv
 import io
 import numbers
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -35,7 +35,7 @@ SCHEMA_VERSION = 1
 DEFAULT_ALPHA = 0.05  # significance level of table2 unless the caller picks one
 
 FeatureName = Literal["saturation_ratio", "mean_pressure"]
-FEATURES = ("saturation_ratio", "mean_pressure")
+FEATURES = get_args(FeatureName)
 DEFAULT_FEATURE = "saturation_ratio"  # feature table2 tests unless the caller picks one
 
 
@@ -115,14 +115,14 @@ def _fmt_full(value: int | float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def render_table1_csv(grid: FeatureGrid) -> str:
-    """Std of mean pressure as 5 session rows x 9 task columns.
+def render_table1_csv(doc: dict) -> str:
+    """The :func:`render_table1_json` ``doc`` as 5 session rows x 9 task columns.
 
     Cells are rounded to whole device levels; a cell with fewer than two
     subjects is left empty.
     """
     rows = [["session"] + [f"T{t}" for t in TASKS]]
-    for row in render_table1_json(grid)["rows"]:
+    for row in doc["rows"]:
         rows.append([str(row["session"])] + ["" if std is None else str(round(std))
                                              for std in row["std"].values()])
     return _csv_text(rows)
@@ -168,14 +168,13 @@ def significant_labels(row: dict) -> list[str]:
             if cell is not None and cell["significant"]]
 
 
-def render_table2_csv(results: list[TestResult], alpha: float = DEFAULT_ALPHA) -> str:
-    """Pairwise p-values as 9 task rows x 10 session-pair columns.
+def render_table2_csv(doc: dict) -> str:
+    """The :func:`render_table2_json` ``doc`` as 9 task rows x 10 session-pair columns.
 
     p-values are shown to three decimals; the trailing ``significant``
-    column lists the pair labels with p below ``alpha``.  Pairs without a
+    column lists the pair labels the document flags.  Pairs without a
     result are left empty.
     """
-    doc = render_table2_json(results, alpha=alpha)
     rows = [["task"] + doc["pairs"] + ["significant"]]
     for row in doc["rows"]:
         rows.append([str(row["task"])]
@@ -225,14 +224,14 @@ def _ratio_vs_s1(grid: FeatureGrid, task: int, session: int) -> float | None:
 _FIG_COLUMNS = ("task", "session", "mean", "std", "n", "ratio_vs_s1")
 
 
-def render_fig_data_csv(grid: FeatureGrid) -> str:
-    """Long-form plot data: 45 rows (task-major), full-precision floats.
+def render_fig_data_csv(doc: dict) -> str:
+    """The :func:`render_fig_data_json` ``doc`` as 45 task-major rows, floats in full.
 
     ``ratio_vs_s1`` compares each session's mean against session 1 of the
     same task, the quickest way to spot a fatigue-session increase.
     """
     rows = [_FIG_COLUMNS] + [[_fmt_full(entry[column]) for column in _FIG_COLUMNS]
-                             for entry in render_fig_data_json(grid)["rows"]]
+                             for entry in doc["rows"]]
     return _csv_text(rows)
 
 

@@ -25,11 +25,9 @@ are tabulated, and each rank updates just the rows and columns that can
 still contribute.  The counts are exact int64 integers, at most
 C(64, 32) < 2**63, so the p-value equals the full table's bit for bit.
 
-:func:`pairwise_session_tests` runs up to 90 tests.  When the exact ones
-add up to enough work (``_FAN_OUT_COST``), it spreads every test over the
-CPUs with :func:`hwfatigue.data._fan_out`, one session-pair test per unit;
-smaller work stays in the calling process, where a fork would cost more
-than it saves.  Either way the error raised is the first in output order.
+:func:`pairwise_session_tests` forks over the CPUs, one test per unit, only
+when its exact tests add up to ``_FAN_OUT_COST``; see
+:func:`hwfatigue.data._fan_out` for how.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .data import _fan_out, _int_in
+from .data import SESSIONS, _fan_out, _int_in
 
 # Maximum pooled size for which the exact distribution is used by default.
 DEFAULT_EXACT_THRESHOLD = 25
@@ -70,8 +68,7 @@ _EXACT_HARD_LIMIT = 64
 _FAN_OUT_COST = 20 * 64 ** 3
 
 # Canonical column order of the pairwise session comparisons.
-SESSION_PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
-                 (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
+SESSION_PAIRS = tuple(itertools.combinations(SESSIONS, 2))
 
 Method = Literal["exact", "normal_approx"]
 

@@ -303,7 +303,7 @@ def write_synthetic(config: SynthConfig, root: Path | str) -> list[Path]:
 def _write_synthetic_session(config: SynthConfig, means: np.ndarray, root: Path,
                              session: tuple[int, int]) -> list[Path]:
     block = _checked_samples(config, means, TASKS, session)
-    return _write_session(_session_recordings(config, TASKS, session, block), root)
+    return _write_session(root, [(*session, task_id) for task_id in TASKS], block)
 
 
 def _sessions(config: SynthConfig) -> list[tuple[int, int]]:

@@ -6,12 +6,16 @@ rank-sum tail probabilities come from enumerating every subset assignment.
 The reference synthetic generator shares only the stream key and the task
 curves with the library; it draws and shapes one recording at a time, with
 one ``normal`` call per channel.  The reference SVC writer is Python's
-``%d`` formatting of every sample.
+``%d`` formatting of every sample.  The reference layout walk is ``os.walk``
+over names spelled out here, and the grid cells are summed and squared in
+loops.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
 
 import numpy as np
 
@@ -43,6 +47,44 @@ def mean_by_summation(values) -> float:
     for v in values:
         total += v
     return total / len(values)
+
+
+def cell_mean_std(values) -> tuple[float | None, float | None]:
+    """(mean, std) of one grid cell's values: the mean by summation, None
+    for an empty cell; the sample standard deviation (n - 1 denominator) by
+    a loop, None below two values."""
+    if len(values) < 1:
+        return None, None
+    mean = mean_by_summation(values)
+    if len(values) < 2:
+        return mean, None
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    return mean, math.sqrt(squares / (len(values) - 1))
+
+
+def ratio_vs_baseline(mean, baseline) -> float | None:
+    """``mean / baseline``; None when either is undefined or the baseline is zero."""
+    if mean is None or baseline is None or baseline == 0.0:
+        return None
+    return mean / baseline
+
+
+def layout_keys(root) -> list[tuple[int, int, int]]:
+    """Sorted (subject, session, task) of every file under ``root`` named
+    ``subject<NN>/session<S>/task<T>.svc``, NN from 01 to 99, S from 1 to 5
+    and T from 1 to 9, found by ``os.walk``."""
+    subjects = {"subject%02d" % s: s for s in range(1, 100)}
+    sessions = {"session%d" % s: s for s in range(1, 6)}
+    tasks = {"task%d.svc" % t: t for t in range(1, 10)}
+    keys = []
+    for dirpath, _, filenames in os.walk(root):
+        parts = os.path.relpath(dirpath, root).split(os.sep)
+        if len(parts) == 2 and parts[0] in subjects and parts[1] in sessions:
+            keys += [(subjects[parts[0]], sessions[parts[1]], tasks[name])
+                     for name in filenames if name in tasks]
+    return sorted(keys)
 
 
 def doubled_midranks(pooled) -> list[int]:

@@ -203,13 +203,13 @@ def test_c8_table_shapes_and_json_precision(capsys):
     grid_mp = aggregate(dataset, "mean_pressure")
     results = pairwise_session_tests(grid_sat.values_by_cell())
 
-    t2 = list(csv.reader(io.StringIO(render_table2_csv(results))))
+    t2 = list(csv.reader(io.StringIO(render_table2_csv(render_table2_json(results)))))
     labels = [f"S{a}-S{b}" for a, b in SESSION_PAIRS]
     t2_ok = (len(t2) == 10 and t2[0][1:11] == labels
              and [r[0] for r in t2[1:]] == [str(t) for t in range(1, 10)]
              and all(len(r) == 12 for r in t2))
 
-    t1 = list(csv.reader(io.StringIO(render_table1_csv(grid_mp))))
+    t1 = list(csv.reader(io.StringIO(render_table1_csv(render_table1_json(grid_mp)))))
     t1_ok = (len(t1) == 6 and len(t1[0]) == 10
              and [r[0] for r in t1[1:]] == ["1", "2", "3", "4", "5"]
              and all(len(r) == 10 for r in t1))

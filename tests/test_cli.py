@@ -4,12 +4,15 @@ import errno
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -21,9 +24,10 @@ from hwfatigue import cli, data, stats
 from hwfatigue.cli import ANALYZE_OUTPUTS, build_parser, main
 from hwfatigue.data import SESSIONS, TASKS, Dataset, DeviceProfile, write_dataset
 from hwfatigue.report import FEATURES
-from hwfatigue.synth import SynthConfig, generate_dataset
+from hwfatigue.synth import SynthConfig, generate_dataset, write_synthetic
 
-from oracles import (full_table_ranksum, generate_recording_reference, mean_by_summation,
+from oracles import (cell_mean_std, full_table_ranksum, generate_recording_reference,
+                     layout_keys, mean_by_summation, parse_svc_by_lines, ratio_vs_baseline,
                      saturation_ratio_by_loop, svc_text_by_format)
 
 
@@ -539,6 +543,78 @@ class TestAnalyzeCommand:
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
 
 
+def children(pid: int) -> list[str]:
+    """Process ids of the live children of ``pid``."""
+    return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2
+                    or not Path("/proc/self/task").is_dir(),
+                    reason="needs two CPUs for a forked child, and Linux /proc to see it")
+class TestInterrupts:
+    """SIGINT or SIGTERM to the process group of a running ``synth`` or
+    ``analyze`` ends it with status 130 or 143 and one ``error:`` line, once
+    no process of the group is left and nothing of the run remains in
+    ``--output``; a rerun then succeeds."""
+
+    OUTCOME = {signal.SIGINT: (130, ["error: interrupted"]),
+               signal.SIGTERM: (143, ["error: terminated"])}
+
+    @staticmethod
+    def interrupted(argv, ready, signum):
+        """Exit status and stderr lines of the command ``argv``, run in a
+        session of its own and sent ``signum`` to its process group as soon
+        as ``ready(pid)``, polled without a fixed sleep, holds."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen([sys.executable, "-m", "hwfatigue.cli", *argv], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              start_new_session=True) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not ready(proc.pid):
+                    assert proc.poll() is None, "the command ended before it was signalled"
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                os.killpg(proc.pid, signum)
+                _, stderr = proc.communicate(timeout=120)
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)  # no process of the group is left
+            finally:  # after a failed check, nothing of the group keeps running
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        return proc.returncode, stderr.splitlines()
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["INT", "TERM"])
+    def test_synth(self, tmp_path, capsys, signum):
+        out = tmp_path / "ds"
+        argv = synth_args(out, subjects=40, samples=2000)
+
+        def first_file(pid):
+            return out.is_dir() and any(out.rglob("*.svc"))
+
+        assert self.interrupted(argv, first_file, signum) == self.OUTCOME[signum]
+        assert not out.exists()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(list(out.rglob("*.svc"))) == 40 * 5 * 9
+
+    @pytest.fixture(scope="class")
+    def dataset_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("campaign")
+        write_synthetic(SynthConfig(n_subjects=21, samples_per_recording=500), root)
+        return root
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["INT", "TERM"])
+    def test_analyze(self, dataset_dir, tmp_path, capsys, signum):
+        out = tmp_path / "results"
+        argv = ["analyze", "--input", str(dataset_dir), "--output", str(out)]
+        assert self.interrupted(argv, children, signum) == self.OUTCOME[signum]
+        assert not out.exists() or not set(os.listdir(out)) & set(ANALYZE_OUTPUTS)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert sorted(os.listdir(out)) == sorted(ANALYZE_OUTPUTS)
+
+
 MALFORMED_LINES = ("1 2 3 9 5 6 7", "1 2 3", "x 2 3 1 5 6 7", "1 2 3 1 5 6 -1")
 
 
@@ -619,11 +695,20 @@ def cell_values(tree: dict[str, bytes], feature: str,
     return cells
 
 
+def same_float(got, want) -> bool:
+    """Both undefined, or equal to a relative 1e-12."""
+    if got is None or want is None:
+        return got is want
+    return math.isclose(got, want, rel_tol=1e-12)
+
+
 class TestFanOutContract:
     """``synth`` and ``analyze`` give the same files, output, warnings,
     error and pairwise results whether their work fans out or not, on 1, 2
-    or 3 processes; each file is the reference generator's and writer's,
-    each exact p-value the full table's and each normal one scipy's."""
+    or 3 processes.  Each file is the reference generator's and writer's
+    and parses as the line oracle parses it; the recordings loaded are
+    those the layout oracle walks; each grid cell, empty test pair, exact
+    p-value and normal one is the oracles' (loops, the full table, scipy)."""
 
     @settings(max_examples=15, derandomize=True, deadline=None)
     @given(campaigns())
@@ -645,10 +730,12 @@ class TestFanOutContract:
             assert synths == [synths[0]] * 3
             assert trees == [trees[0]] * 3
             assert len(trees[0]) == config.n_subjects * len(SESSIONS) * len(TASKS)
+            dataset = root / "ds1"
             for name, content in trees[0].items():
                 reference = generate_recording_reference(config, *recording_key(name))
                 assert content == svc_text_by_format(reference.samples).encode()
-            dataset = root / "ds1"
+                assert (data.read_svc(dataset / name, config.device).tolist()
+                        == parse_svc_by_lines(content.decode(), sat_level))
             break_tree(dataset, campaign["removed"], campaign["malformed"])
 
             analyses = []
@@ -667,15 +754,44 @@ class TestFanOutContract:
                     assert multiprocessing.active_children() == []
             assert analyses == [analyses[0]] * 6
             code, stdout, stderr, _, artifacts, _ = analyses[0]
+            keys = layout_keys(dataset)
+            assert (code != 0) == (campaign["malformed"] is not None or not keys)
             if code != 0:
                 assert code == 1 and stdout == "" and artifacts is None
                 assert stderr.startswith("error: ") and stderr.count("\n") == 1
                 return
             assert stderr == "" and sorted(artifacts) == sorted(ANALYZE_OUTPUTS)
-            cells = cell_values(read_tree(dataset), feature, sat_level)
+            assert data.load_dataset(dataset, config.device).keys() == keys
+            tree = read_tree(dataset)
+            grids = {f: cell_values(tree, f, sat_level) for f in FEATURES}
+
+            def summary(feature, task, session):  # mean, std, n, ratio_vs_s1 of a cell
+                values = grids[feature].get((task, session), [])
+                mean, std = cell_mean_std(values)
+                baseline, _ = cell_mean_std(grids[feature].get((task, 1), []))
+                return mean, std, len(values), ratio_vs_baseline(mean, baseline)
+
+            for row in json.loads(artifacts["table1.json"])["rows"]:
+                for task in TASKS:
+                    _, std, n, _ = summary("mean_pressure", task, row["session"])
+                    assert row["n"][f"T{task}"] == n
+                    assert same_float(row["std"][f"T{task}"], std)
+            for name, fig_feature in (("fig4_data.csv", "saturation_ratio"),
+                                      ("fig5_data.csv", "mean_pressure")):
+                rows = list(csv.reader(io.StringIO(artifacts[name].decode())))[1:]
+                assert [(int(r[0]), int(r[1])) for r in rows] == [(t, s) for t in TASKS
+                                                                  for s in SESSIONS]
+                for task, session, *fields in rows:
+                    mean, std, n, ratio = summary(fig_feature, int(task), int(session))
+                    got = [float(x) if x else None for x in fields]
+                    assert got[2] == n
+                    assert all(map(same_float, got[:2] + got[3:], (mean, std, ratio)))
+            cells = grids[feature]
             table2 = json.loads(artifacts["table2.json"])
             for row in table2["rows"]:
                 for (a, b), cell in zip(stats.SESSION_PAIRS, row["cells"].values()):
+                    assert (cell is None) == (not cells.get((row["task"], a))
+                                              or not cells.get((row["task"], b)))
                     if cell is None:
                         continue
                     values = cells[(row["task"], a)], cells[(row["task"], b)]

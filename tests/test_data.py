@@ -813,6 +813,17 @@ class TestFanOut:
             assert [p.relative_to(root) for p in written] == list(want)
             assert {p.relative_to(root): p.read_bytes() for p in root.rglob("*.svc")} == want
 
+    def test_write_synthetic_builds_no_recording(self, tmp_path, processes, monkeypatch):
+        config = SynthConfig(n_subjects=2, samples_per_recording=20, seed=9)
+        expected = write_dataset(generate_dataset(config), tmp_path / "split")
+        processes(1)
+        monkeypatch.setattr(synth, "_session_recordings",
+                            lambda *args: pytest.fail("write_synthetic built a Recording"))
+        written = write_synthetic(config, tmp_path / "direct")
+        assert [p.relative_to(tmp_path / "direct") for p in written] == [
+            p.relative_to(tmp_path / "split") for p in expected]
+        assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
+
     @pytest.mark.parametrize("faulty_session", [(1, 2), (1, 1)], ids=["child", "caller"])
     def test_write_synthetic_fault_matches_one_process(self, tmp_path, processes, monkeypatch,
                                                        faulty_session):

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+from collections import Counter
 import io
 import math
 import re
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from hwfatigue import report
+from hwfatigue import cli, report
 from hwfatigue.cli import analyze_dataset
 from hwfatigue.data import Dataset
 from hwfatigue.report import (FeatureGrid, SessionTaskSummary, aggregate,
@@ -116,14 +117,14 @@ class TestAggregate:
 class TestTable1:
     def test_csv_shape(self):
         grid = aggregate(small_dataset(), "mean_pressure")
-        rows = parse_csv(render_table1_csv(grid))
+        rows = parse_csv(render_table1_csv(render_table1_json(grid)))
         assert rows[0] == ["session"] + [f"T{t}" for t in range(1, 10)]
         assert len(rows) == 6
         assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
 
     def test_csv_cells_are_rounded_std(self):
         grid = aggregate(small_dataset(), "mean_pressure")
-        rows = parse_csv(render_table1_csv(grid))
+        rows = parse_csv(render_table1_csv(render_table1_json(grid)))
         for si, session in enumerate(range(1, 6)):
             for ti, task in enumerate(range(1, 10)):
                 cell = grid.cell(task, session)
@@ -133,7 +134,7 @@ class TestTable1:
         dataset = Dataset()
         dataset.add(make_recording(subject=1, session=1, task=1))
         grid = aggregate(dataset, "mean_pressure")
-        rows = parse_csv(render_table1_csv(grid))
+        rows = parse_csv(render_table1_csv(render_table1_json(grid)))
         assert all(v == "" for row in rows[1:] for v in row[1:])
 
     def test_json_full_precision_and_counts(self):
@@ -164,7 +165,7 @@ def grid_results(dataset, feature="saturation_ratio"):
 class TestTable2:
     def test_csv_shape(self):
         _, results = grid_results(small_dataset())
-        rows = parse_csv(render_table2_csv(results))
+        rows = parse_csv(render_table2_csv(render_table2_json(results)))
         labels = [f"S{a}-S{b}" for a, b in SESSION_PAIRS]
         assert rows[0] == ["task"] + labels + ["significant"]
         assert len(rows) == 10
@@ -172,7 +173,7 @@ class TestTable2:
 
     def test_csv_three_decimals(self):
         _, results = grid_results(small_dataset())
-        rows = parse_csv(render_table2_csv(results))
+        rows = parse_csv(render_table2_csv(render_table2_json(results)))
         for row in rows[1:]:
             for cell in row[1:11]:
                 assert cell == "" or (len(cell.split(".")[1]) == 3)
@@ -180,7 +181,7 @@ class TestTable2:
     def test_flags_match_alpha(self):
         _, results = grid_results(small_dataset(n_subjects=8, samples=400))
         alpha = 0.05
-        rows = parse_csv(render_table2_csv(results, alpha=alpha))
+        rows = parse_csv(render_table2_csv(render_table2_json(results, alpha=alpha)))
         by_cell = {(r.task_id, r.session_a, r.session_b): r for r in results}
         for row in rows[1:]:
             task = int(row[0])
@@ -191,20 +192,19 @@ class TestTable2:
 
     def test_alpha_changes_flags(self):
         _, results = grid_results(small_dataset(n_subjects=8, samples=400))
-        strict = parse_csv(render_table2_csv(results, alpha=1e-9))
+        strict = parse_csv(render_table2_csv(render_table2_json(results, alpha=1e-9)))
         assert all(row[11] == "" for row in strict[1:])
         for alpha in (0, 1, 1.5, -0.1, float("nan"), "0.05", None):
             message = (rf"^alpha must (lie in \(0, 1\)|be a number), "
                        rf"got {re.escape(repr(alpha))}$")
-            for render in (render_table2_json, render_table2_csv):
-                with pytest.raises(ValueError, match=message):
-                    render(results, alpha=alpha)
+            with pytest.raises(ValueError, match=message):
+                render_table2_json(results, alpha=alpha)
 
     def test_missing_pair_left_empty(self):
         _, results = grid_results(small_dataset(n_subjects=3))
         dropped = [r for r in results
                    if not (r.task_id == 2 and (r.session_a, r.session_b) == (1, 5))]
-        rows = parse_csv(render_table2_csv(dropped))
+        rows = parse_csv(render_table2_csv(render_table2_json(dropped)))
         assert rows[2][4] == ""
         assert rows[1][4] != ""
 
@@ -232,7 +232,7 @@ class TestTable2:
 class TestFigData:
     def test_csv_shape_and_order(self):
         grid = aggregate(small_dataset(), "saturation_ratio")
-        rows = parse_csv(render_fig_data_csv(grid))
+        rows = parse_csv(render_fig_data_csv(render_fig_data_json(grid)))
         assert rows[0] == ["task", "session", "mean", "std", "n", "ratio_vs_s1"]
         assert len(rows) == 46
         keys = [(int(r[0]), int(r[1])) for r in rows[1:]]
@@ -240,7 +240,7 @@ class TestFigData:
 
     def test_csv_full_precision(self):
         grid = aggregate(small_dataset(), "saturation_ratio")
-        rows = parse_csv(render_fig_data_csv(grid))
+        rows = parse_csv(render_fig_data_csv(render_fig_data_json(grid)))
         for row in rows[1:]:
             task, session = int(row[0]), int(row[1])
             cell = grid.cell(task, session)
@@ -275,7 +275,7 @@ class TestFigData:
         dataset = Dataset()
         dataset.add(make_recording(subject=1, session=1, task=1))
         grid = aggregate(dataset, "mean_pressure")
-        rows = parse_csv(render_fig_data_csv(grid))
+        rows = parse_csv(render_fig_data_csv(render_fig_data_json(grid)))
         row_for_t9_s5 = rows[-1]
         assert row_for_t9_s5[:2] == ["9", "5"]
         assert row_for_t9_s5[2] == ""
@@ -293,7 +293,8 @@ class TestFigData:
 class TestCsvConventions:
     def test_lf_line_endings(self):
         grid = aggregate(small_dataset(), "mean_pressure")
-        for text in (render_table1_csv(grid), render_fig_data_csv(grid)):
+        for text in (render_table1_csv(render_table1_json(grid)),
+                     render_fig_data_csv(render_fig_data_json(grid))):
             assert "\r" not in text
             assert text.endswith("\n")
 
@@ -339,3 +340,18 @@ class TestPinnedArtifacts:
         assert {name: hashlib.sha256(text.encode()).hexdigest()
                 for name, text in outputs.items()} == self.DIGESTS
         assert summary == self.SUMMARY
+
+
+def test_analyze_dataset_builds_each_document_once(monkeypatch):
+    calls = Counter()
+    for name in ("render_table1_json", "render_table2_json", "render_fig_data_json"):
+        def counted(*args, _name=name, _render=getattr(report, name), **kwargs):
+            calls[_name] += 1
+            return _render(*args, **kwargs)
+
+        for module in (report, cli):  # every binding the pipeline could call
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    outputs, _, _ = analyze_dataset(small_dataset())
+    assert sorted(outputs) == sorted(cli.ANALYZE_OUTPUTS)
+    assert calls == {"render_table1_json": 1, "render_table2_json": 1, "render_fig_data_json": 2}
