@@ -15,6 +15,14 @@ full precision with a ``schema_version`` field; the matching CSV renderer
 takes that document and only formats its rows (RFC-4180, LF endings; table1
 rounded to integers, table2 to three decimals).  Every number is
 recomputable from the ``values`` list of the underlying cell.
+
+:func:`aggregate` reduces blocks, not single recordings: the pressure
+columns of equally long recordings are stacked, at most :data:`_BLOCK_BYTES`
+of 8-byte values at a time so that the temporaries stay near a megabyte at
+any campaign size, and cells holding equally many values are stacked for
+their mean and std.  Each reduction runs along the rows of a C-contiguous
+block, which gives every row the bits of the 1-d ``mean``/``std`` of that
+row (``np.add.reduceat`` does not), however the rows were grouped.
 """
 
 from __future__ import annotations
@@ -22,13 +30,13 @@ from __future__ import annotations
 import csv
 import io
 import numbers
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Literal, get_args
 
 import numpy as np
 
 from .data import Dataset, Recording, SESSIONS, TASKS
-from .features import mean_pressure, saturation_ratio
 from .stats import SESSION_PAIRS, TestResult
 
 SCHEMA_VERSION = 1
@@ -37,6 +45,7 @@ DEFAULT_ALPHA = 0.05  # significance level of table2 unless the caller picks one
 FeatureName = Literal["saturation_ratio", "mean_pressure"]
 FEATURES = get_args(FeatureName)
 DEFAULT_FEATURE = "saturation_ratio"  # feature table2 tests unless the caller picks one
+_BLOCK_BYTES = 1 << 19  # pressure bytes :func:`aggregate` stacks at once
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,25 @@ class SessionTaskSummary:
 
     @classmethod
     def from_values(cls, task_id: int, session_id: int, values) -> "SessionTaskSummary":
-        values = tuple(float(v) for v in values)
-        n = len(values)
-        mean = float(np.mean(values)) if n >= 1 else None
-        std = float(np.std(values, ddof=1)) if n >= 2 else None
-        return cls(task_id=task_id, session_id=session_id, values=values,
-                   n=n, mean=mean, std=std)
+        key = (task_id, session_id)
+        return _summaries({key: [float(v) for v in values]})[key]
+
+
+def _summaries(collected: dict[tuple[int, int], list[float]]
+               ) -> dict[tuple[int, int], SessionTaskSummary]:
+    """A summary per (task, session) key of ``collected``, in its order;
+    the cells holding equally many values are reduced as one stack."""
+    by_count = defaultdict(list)
+    for key, values in collected.items():
+        by_count[len(values)].append(key)
+    mean_std = {}
+    for n, keys in by_count.items():
+        stack = np.array([collected[key] for key in keys], dtype=np.float64)
+        means = stack.mean(axis=1).tolist() if n >= 1 else [None] * len(keys)
+        stds = stack.std(axis=1, ddof=1).tolist() if n >= 2 else [None] * len(keys)
+        mean_std.update(zip(keys, zip(means, stds)))
+    return {key: SessionTaskSummary(key[0], key[1], tuple(values), len(values), *mean_std[key])
+            for key, values in collected.items()}
 
 
 @dataclass(frozen=True)
@@ -80,9 +102,18 @@ class FeatureGrid:
 
 def recording_feature(recording: Recording, feature: FeatureName) -> float:
     """The per-recording scalar that gets aggregated across subjects."""
-    if _check_feature(feature) == "saturation_ratio":
-        return saturation_ratio(recording.pressure, recording.device.max_level)
-    return mean_pressure(recording.pressure)
+    return float(_block_feature([recording], _check_feature(feature))[0])
+
+
+def _block_feature(recordings: list[Recording], feature: FeatureName) -> np.ndarray:
+    """``feature`` of each of ``recordings``, which hold equally many
+    samples, by row-wise reductions of their stacked pressure columns."""
+    pressures = [recording.pressure for recording in recordings]
+    if feature == "saturation_ratio":
+        levels = np.array([r.device.max_level for r in recordings], dtype=np.int64)
+        block = np.array(pressures, dtype=np.int64)
+        return np.count_nonzero(block >= levels[:, None], axis=1) / block.shape[1]
+    return np.array(pressures, dtype=np.float64).mean(axis=1)
 
 
 def aggregate(dataset: Dataset, feature: FeatureName) -> FeatureGrid:
@@ -94,14 +125,21 @@ def aggregate(dataset: Dataset, feature: FeatureName) -> FeatureGrid:
     _check_feature(feature)
     if len(dataset) == 0:
         raise ValueError("cannot aggregate an empty dataset")
+    recordings = list(dataset)
+    by_length = defaultdict(list)
+    for i, recording in enumerate(recordings):
+        by_length[recording.n_samples].append(i)
+    values = np.empty(len(recordings))
+    for n, indices in by_length.items():
+        rows = max(1, _BLOCK_BYTES // (8 * n))
+        for start in range(0, len(indices), rows):
+            chunk = indices[start:start + rows]
+            values[chunk] = _block_feature([recordings[i] for i in chunk], feature)
     collected: dict[tuple[int, int], list[float]] = {
         (task, session): [] for task in TASKS for session in SESSIONS}
-    for recording in dataset:
-        collected[(recording.task_id, recording.session_id)].append(
-            recording_feature(recording, feature))
-    cells = {key: SessionTaskSummary.from_values(key[0], key[1], values)
-             for key, values in collected.items()}
-    return FeatureGrid(feature=feature, cells=cells)
+    for recording, value in zip(recordings, values.tolist()):
+        collected[(recording.task_id, recording.session_id)].append(value)
+    return FeatureGrid(feature=feature, cells=_summaries(collected))
 
 
 def _csv_text(rows: list[list[str]]) -> str:

@@ -8,7 +8,10 @@ curves with the library; it draws and shapes one recording at a time, with
 one ``normal`` call per channel.  The reference SVC writer is Python's
 ``%d`` formatting of every sample.  The reference layout walk is ``os.walk``
 over names spelled out here, and the grid cells are summed and squared in
-loops.
+loops.  The aggregation oracle is the loop the batched ``aggregate``
+replaced: the scalar feature functions one recording at a time, and the
+1-d ``np.mean``/``np.std`` one cell at a time, so that a bit-for-bit match
+shows the batching changed no sum.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import numpy as np
 
 from hwfatigue.data import SESSIONS, TASKS, Recording
+from hwfatigue.features import mean_pressure, saturation_ratio
 from hwfatigue.synth import (_ALTITUDE_BASE, _ALTITUDE_SD, _AZIMUTH_BASE, _AZIMUTH_SD,
                              _COORD_CENTER, _COORD_NOISE_SD, _COORD_SCALE, _PRESSURE_MEAN,
                              _PRESSURE_SD, _TIMESTAMP_STEP_MS, SynthConfig, _stream_key,
@@ -69,6 +73,27 @@ def ratio_vs_baseline(mean, baseline) -> float | None:
     if mean is None or baseline is None or baseline == 0.0:
         return None
     return mean / baseline
+
+
+def feature_by_recording(recording: Recording, feature: str) -> float:
+    """``feature`` of one recording by the scalar feature function."""
+    if feature == "saturation_ratio":
+        return saturation_ratio(recording.pressure, recording.device.max_level)
+    return mean_pressure(recording.pressure)
+
+
+def aggregate_by_recording(dataset, feature: str) -> dict:
+    """``(values, n, mean, std)`` per (task, session) cell of ``feature``,
+    keyed and ordered as ``aggregate``'s cells: the values in subject order,
+    the mean None for an empty cell and the n-1 std None below two values."""
+    collected = {(task, session): [] for task in TASKS for session in SESSIONS}
+    for recording in dataset:
+        collected[(recording.task_id, recording.session_id)].append(
+            feature_by_recording(recording, feature))
+    return {key: (tuple(values), len(values),
+                  float(np.mean(values)) if len(values) >= 1 else None,
+                  float(np.std(values, ddof=1)) if len(values) >= 2 else None)
+            for key, values in collected.items()}
 
 
 def layout_keys(root) -> list[tuple[int, int, int]]:

@@ -4,14 +4,17 @@ from collections import Counter
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwfatigue import cli, report
 from hwfatigue.cli import analyze_dataset
-from hwfatigue.data import Dataset
-from hwfatigue.report import (FeatureGrid, SessionTaskSummary, aggregate,
+from hwfatigue.data import SESSIONS, TASKS, Dataset, DeviceProfile
+from hwfatigue.report import (FEATURES, FeatureGrid, SessionTaskSummary, aggregate,
                               recording_feature, render_fig_data_csv,
                               render_fig_data_json, render_table1_csv,
                               render_table1_json, render_table2_csv,
@@ -19,7 +22,7 @@ from hwfatigue.report import (FeatureGrid, SessionTaskSummary, aggregate,
 from hwfatigue.stats import SESSION_PAIRS, TestResult, pairwise_session_tests
 from hwfatigue.synth import SynthConfig, generate_dataset
 
-from oracles import mean_by_summation
+from oracles import aggregate_by_recording, feature_by_recording, mean_by_summation
 
 from test_data import make_recording
 
@@ -31,6 +34,40 @@ def parse_csv(text):
 def small_dataset(n_subjects=4, samples=60, seed=2):
     return generate_dataset(SynthConfig(
         n_subjects=n_subjects, samples_per_recording=samples, seed=seed))
+
+
+CEILINGS = (1, 1023, 2**40, 2**62, 2**63 - 1)
+
+
+@st.composite
+def mixed_datasets(draw):
+    """Views of a ``generate_dataset`` session block, some dropped, plus
+    ``Recording`` copies of 1-300 samples under any of :data:`CEILINGS`,
+    0-3 per cell with a random share of pressures at the ceiling, added in
+    shuffled order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    recordings = []
+    if draw(st.booleans()):
+        generated = generate_dataset(SynthConfig(
+            n_subjects=1, samples_per_recording=draw(st.integers(1, 300)),
+            device=DeviceProfile(draw(st.sampled_from(CEILINGS)))))
+        recordings += [r for r in generated if rng.random() < 0.7]
+    for task in TASKS:
+        for session in SESSIONS:
+            for subject in range(2, 2 + draw(st.integers(0, 3))):
+                n, ceiling = draw(st.integers(1, 300)), draw(st.sampled_from(CEILINGS))
+                pressures = rng.integers(0, ceiling, size=n, endpoint=True)
+                pressures[rng.random(n) < rng.random()] = ceiling
+                recordings.append(make_recording(subject, session, task, pressures,
+                                                 DeviceProfile(ceiling)))
+    return Dataset(recordings[i] for i in rng.permutation(len(recordings)))
+
+
+def summary_bits(values, n, mean, std):
+    """A cell's fields with every float as ``float.hex``."""
+    def bits(x):
+        return None if x is None else x.hex()
+    return [bits(v) for v in values], n, bits(mean), bits(std)
 
 
 class TestSessionTaskSummary:
@@ -103,7 +140,7 @@ class TestAggregate:
         with pytest.raises(ValueError, match="unknown feature"):
             recording_feature(make_recording(), "median_pressure")
         # aggregate refuses before its loop, even on an empty dataset.
-        monkeypatch.setattr(report, "recording_feature", pytest.fail)
+        monkeypatch.setattr(report, "_block_feature", pytest.fail)
         for dataset in (Dataset(), small_dataset()):
             with pytest.raises(ValueError, match="^unknown feature 'speed', expected one of "):
                 aggregate(dataset, "speed")
@@ -112,6 +149,35 @@ class TestAggregate:
         grid = aggregate(small_dataset(), "saturation_ratio")
         by_cell = grid.values_by_cell()
         assert by_cell[(1, 1)] == grid.cell(1, 1).values
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(dataset=mixed_datasets().filter(len))
+    def test_matches_the_one_recording_loop_bit_for_bit(self, dataset):
+        for feature in FEATURES:
+            expected = aggregate_by_recording(dataset, feature)
+            grid = aggregate(dataset, feature)
+            assert list(grid.cells) == list(expected)
+            for key, cell in grid.cells.items():
+                want = summary_bits(*expected[key])
+                assert summary_bits(cell.values, cell.n, cell.mean, cell.std) == want
+                alone = SessionTaskSummary.from_values(*key, expected[key][0])
+                assert summary_bits(alone.values, alone.n, alone.mean, alone.std) == want
+            for recording in dataset:
+                assert (recording_feature(recording, feature).hex()
+                        == feature_by_recording(recording, feature).hex())
+
+    def test_temporaries_stay_within_a_block(self):
+        """The paper's 21 x 2000 campaign holds 15 MB of pressures; what
+        aggregate allocates at any one time stays near one capped block."""
+        dataset = small_dataset(n_subjects=21, samples=2000)
+        for feature in FEATURES:
+            tracemalloc.start()
+            try:
+                aggregate(dataset, feature)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20, (feature, peak)
 
 
 class TestTable1:
