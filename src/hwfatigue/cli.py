@@ -28,10 +28,10 @@ import numpy as np
 # because perfbench's tracer patches them by these module names.
 from .data import (MAX_SUBJECT_ID, Dataset, DatasetError, DeviceProfile, _int_in,
                    _recording, load_dataset, read_svc, write_dataset)
-from .features import extract_features
-from .report import (DEFAULT_ALPHA, DEFAULT_FEATURE, FEATURES, _check_alpha, _check_feature,
-                     aggregate, render_fig_data_csv, render_fig_data_json, render_table1_csv,
-                     render_table1_json, render_table2_csv, render_table2_json, significant_labels)
+from .features import FEATURES, _check_feature, extract_features
+from .report import (DEFAULT_ALPHA, DEFAULT_FEATURE, _check_alpha, aggregate, render_fig_data_csv,
+                     render_fig_data_json, render_table1_csv, render_table1_json,
+                     render_table2_csv, render_table2_json, significant_labels)
 from .stats import (DEFAULT_EXACT_THRESHOLD, TestResult, _check_exact_threshold,
                     pairwise_session_tests)
 from .synth import SynthConfig, generate_dataset, write_synthetic

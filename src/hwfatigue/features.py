@@ -9,11 +9,17 @@ coordinate series with a unit (one sample interval) denominator.
 
 By default every feature runs over the full sample vector, pen-up events
 included; pass ``pen_down_only=True`` to restrict to surface contact.
+
+Each per-recording rule exists once, in the kernel :func:`feature_of_rows`
+over k equally long rows.  Its mean reduces a C-contiguous float64 block
+along the rows, which gives each row the bits of its 1-d ``mean``; an int64
+block would not, as ``mean(axis=1)`` sums it in buffers of 8192 values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -31,22 +37,51 @@ class FeatureVector:
     speed_y: np.ndarray
 
 
+FeatureName = Literal["saturation_ratio", "mean_pressure"]
+FEATURES = get_args(FeatureName)
+
+
+def _check_feature(feature: str) -> str:
+    """``feature`` if it is one of :data:`FEATURES`; ValueError otherwise."""
+    if feature not in FEATURES:
+        raise ValueError(f"unknown feature {feature!r}, expected one of {FEATURES}")
+    return feature
+
+
+def feature_of_rows(feature: FeatureName, rows, levels) -> np.ndarray:
+    """``feature`` of each of k equally long pressure ``rows`` as k floats.
+    Saturation compares each row as given (a float row is never cast to
+    int64) with its ceiling in ``levels``; the mean ignores ``levels``."""
+    if feature == "saturation_ratio":
+        block = np.asarray(rows)
+        return np.count_nonzero(block >= np.asarray(levels)[:, None], axis=1) / block.shape[1]
+    return np.array(rows, dtype=np.float64).mean(axis=1)
+
+
+def _series(values, dtype=None) -> np.ndarray:
+    """``values`` as a 1-d array; ValueError naming the shape otherwise."""
+    a = np.asarray(values, dtype=dtype)
+    if a.ndim != 1:
+        raise ValueError(f"expected a 1-d series, got shape {a.shape}")
+    return a
+
+
 def saturation_ratio(pressure, sat_level: int) -> float:
     """Fraction of samples with pressure >= sat_level (the >= is deliberate:
     a reading at the ceiling is already saturated).  ``sat_level`` is
     checked as ``DeviceProfile`` checks its ``max_level``."""
-    p = np.asarray(pressure)
+    p = _series(pressure)
     if p.size == 0:
         raise ValueError("saturation ratio is undefined for an empty series")
     sat_level = _int_in("sat_level", sat_level, 1, MAX_PRESSURE_LEVEL)
-    return int(np.count_nonzero(p >= sat_level)) / p.size
+    return float(feature_of_rows("saturation_ratio", p[None], [sat_level])[0])
 
 
 def mean_pressure(pressure) -> float:
-    p = np.asarray(pressure, dtype=np.float64)
+    p = _series(pressure)
     if p.size == 0:
         raise ValueError("mean pressure is undefined for an empty series")
-    return float(p.mean())
+    return float(feature_of_rows("mean_pressure", p[None], None)[0])
 
 
 def first_difference(f) -> np.ndarray:
@@ -55,9 +90,7 @@ def first_difference(f) -> np.ndarray:
     The denominator is one sample interval, not wall-clock time, so the
     units are input-units per sample.
     """
-    a = np.asarray(f, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"expected a 1-d series, got shape {a.shape}")
+    a = _series(f, np.float64)
     if a.size < 2:
         raise ValueError("first difference needs at least 2 samples")
     return np.diff(a)

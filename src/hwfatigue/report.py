@@ -19,10 +19,9 @@ recomputable from the ``values`` list of the underlying cell.
 :func:`aggregate` reduces blocks, not single recordings: the pressure
 columns of equally long recordings are stacked, at most :data:`_BLOCK_BYTES`
 of 8-byte values at a time so that the temporaries stay near a megabyte at
-any campaign size, and cells holding equally many values are stacked for
-their mean and std.  Each reduction runs along the rows of a C-contiguous
-block, which gives every row the bits of the 1-d ``mean``/``std`` of that
-row (``np.add.reduceat`` does not), however the rows were grouped.
+any campaign size, and handed to :func:`hwfatigue.features.feature_of_rows`.
+Cells holding equally many values are stacked for their mean and std, row
+by row as in that kernel, so every value keeps the bits of its 1-d reduction.
 """
 
 from __future__ import annotations
@@ -32,18 +31,15 @@ import io
 import numbers
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Literal, get_args
 
 import numpy as np
 
-from .data import Dataset, Recording, SESSIONS, TASKS
+from . import features
+from .data import Dataset, SESSIONS, TASKS
 from .stats import SESSION_PAIRS, TestResult
 
 SCHEMA_VERSION = 1
 DEFAULT_ALPHA = 0.05  # significance level of table2 unless the caller picks one
-
-FeatureName = Literal["saturation_ratio", "mean_pressure"]
-FEATURES = get_args(FeatureName)
 DEFAULT_FEATURE = "saturation_ratio"  # feature table2 tests unless the caller picks one
 _BLOCK_BYTES = 1 << 19  # pressure bytes :func:`aggregate` stacks at once
 
@@ -90,7 +86,7 @@ def _summaries(collected: dict[tuple[int, int], list[float]]
 class FeatureGrid:
     """All 45 (task, session) summaries for one feature."""
 
-    feature: FeatureName
+    feature: features.FeatureName
     cells: dict[tuple[int, int], SessionTaskSummary]
 
     def cell(self, task_id: int, session_id: int) -> SessionTaskSummary:
@@ -100,29 +96,13 @@ class FeatureGrid:
         return {key: summary.values for key, summary in self.cells.items()}
 
 
-def recording_feature(recording: Recording, feature: FeatureName) -> float:
-    """The per-recording scalar that gets aggregated across subjects."""
-    return float(_block_feature([recording], _check_feature(feature))[0])
-
-
-def _block_feature(recordings: list[Recording], feature: FeatureName) -> np.ndarray:
-    """``feature`` of each of ``recordings``, which hold equally many
-    samples, by row-wise reductions of their stacked pressure columns."""
-    pressures = [recording.pressure for recording in recordings]
-    if feature == "saturation_ratio":
-        levels = np.array([r.device.max_level for r in recordings], dtype=np.int64)
-        block = np.array(pressures, dtype=np.int64)
-        return np.count_nonzero(block >= levels[:, None], axis=1) / block.shape[1]
-    return np.array(pressures, dtype=np.float64).mean(axis=1)
-
-
-def aggregate(dataset: Dataset, feature: FeatureName) -> FeatureGrid:
+def aggregate(dataset: Dataset, feature: features.FeatureName) -> FeatureGrid:
     """Collect the feature per (task, session) over all subjects present.
 
     Values are ordered by subject id.  Cells with no recordings yield n = 0
     summaries; a session a subject skipped is simply absent from that cell.
     """
-    _check_feature(feature)
+    features._check_feature(feature)
     if len(dataset) == 0:
         raise ValueError("cannot aggregate an empty dataset")
     recordings = list(dataset)
@@ -134,7 +114,9 @@ def aggregate(dataset: Dataset, feature: FeatureName) -> FeatureGrid:
         rows = max(1, _BLOCK_BYTES // (8 * n))
         for start in range(0, len(indices), rows):
             chunk = indices[start:start + rows]
-            values[chunk] = _block_feature([recordings[i] for i in chunk], feature)
+            block = [recordings[i] for i in chunk]
+            values[chunk] = features.feature_of_rows(
+                feature, [r.pressure for r in block], [r.device.max_level for r in block])
     collected: dict[tuple[int, int], list[float]] = {
         (task, session): [] for task in TASKS for session in SESSIONS}
     for recording, value in zip(recordings, values.tolist()):
@@ -180,13 +162,6 @@ def render_table1_json(grid: FeatureGrid) -> dict:
             for session in SESSIONS
         ],
     }
-
-
-def _check_feature(feature: str) -> str:
-    """``feature`` if it is one of :data:`FEATURES`; ValueError otherwise."""
-    if feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}, expected one of {FEATURES}")
-    return feature
 
 
 def _check_alpha(alpha: float) -> float:

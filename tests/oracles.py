@@ -9,9 +9,11 @@ one ``normal`` call per channel.  The reference SVC writer is Python's
 ``%d`` formatting of every sample.  The reference layout walk is ``os.walk``
 over names spelled out here, and the grid cells are summed and squared in
 loops.  The aggregation oracle is the loop the batched ``aggregate``
-replaced: the scalar feature functions one recording at a time, and the
-1-d ``np.mean``/``np.std`` one cell at a time, so that a bit-for-bit match
-shows the batching changed no sum.
+replaced, with its own per-recording formulas rather than the library's
+feature kernel: a ``>=`` count over the size, and the 1-d float64
+``np.mean``, one recording at a time, then the 1-d ``np.mean``/``np.std``
+one cell at a time, so that a bit-for-bit match shows the batching changed
+no sum.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import os
 import numpy as np
 
 from hwfatigue.data import SESSIONS, TASKS, Recording
-from hwfatigue.features import mean_pressure, saturation_ratio
 from hwfatigue.synth import (_ALTITUDE_BASE, _ALTITUDE_SD, _AZIMUTH_BASE, _AZIMUTH_SD,
                              _COORD_CENTER, _COORD_NOISE_SD, _COORD_SCALE, _PRESSURE_MEAN,
                              _PRESSURE_SD, _TIMESTAMP_STEP_MS, SynthConfig, _stream_key,
@@ -76,10 +77,12 @@ def ratio_vs_baseline(mean, baseline) -> float | None:
 
 
 def feature_by_recording(recording: Recording, feature: str) -> float:
-    """``feature`` of one recording by the scalar feature function."""
+    """``feature`` of one recording: the share of its pressures at or above
+    its ceiling, or the 1-d float64 mean of its pressures."""
+    p = recording.pressure
     if feature == "saturation_ratio":
-        return saturation_ratio(recording.pressure, recording.device.max_level)
-    return mean_pressure(recording.pressure)
+        return np.count_nonzero(p >= recording.device.max_level) / p.size
+    return float(np.asarray(p, dtype=np.float64).mean())
 
 
 def aggregate_by_recording(dataset, feature: str) -> dict:

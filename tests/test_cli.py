@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hwfatigue import cli, data, stats
 from hwfatigue.cli import ANALYZE_OUTPUTS, build_parser, main
 from hwfatigue.data import SESSIONS, TASKS, Dataset, DeviceProfile, write_dataset
-from hwfatigue.report import FEATURES
+from hwfatigue.features import FEATURES
 from hwfatigue.synth import SynthConfig, generate_dataset, write_synthetic
 
 from oracles import (cell_mean_std, full_table_ranksum, generate_recording_reference,

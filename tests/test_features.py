@@ -1,16 +1,58 @@
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwfatigue.data import Recording
-from hwfatigue.features import (extract_features, first_difference, mean_pressure,
+from hwfatigue import cli, features
+from hwfatigue.data import Recording, serialize_svc
+from hwfatigue.features import (FEATURES, extract_features, first_difference, mean_pressure,
                                 saturation_ratio)
-from hwfatigue.synth import SynthConfig, generate_recording
+from hwfatigue.report import aggregate
+from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording
 
 from oracles import mean_by_summation, saturation_ratio_by_loop
 
 from test_data import make_recording
+
+
+NOT_1D = {"2x2": [[1023, 0], [0, 0]], "int": 5, "int64": np.int64(7),
+          "2x0": np.zeros((2, 0)), "1x3": np.ones((1, 3))}
+
+
+@pytest.mark.parametrize("series", NOT_1D.values(), ids=NOT_1D.keys())
+def test_scalar_features_refuse_a_series_that_is_not_1d(series):
+    message = "^" + re.escape(f"expected a 1-d series, got shape {np.shape(series)}") + "$"
+    for call in (lambda: saturation_ratio(series, 1023), lambda: mean_pressure(series),
+                 lambda: saturation_ratio(series, 0)):  # the shape is checked first
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_every_feature_path_runs_the_one_kernel(monkeypatch, tmp_path, capsys):
+    class KernelRan(Exception):
+        pass
+
+    def kernel(*args):
+        raise KernelRan
+
+    dataset = generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=20))
+    recording = dataset.get(1, 1, 1)
+    path = tmp_path / "task1.svc"
+    path.write_text(serialize_svc(recording.samples))
+    monkeypatch.setattr(features, "feature_of_rows", kernel)
+    calls = [partial(aggregate, dataset, feature) for feature in FEATURES] + [
+        partial(saturation_ratio, recording.pressure, 1023),
+        partial(mean_pressure, recording.pressure),
+        partial(extract_features, recording),
+        partial(cli.main, ["features", "--input", str(path)]),
+    ]
+    for call in calls:
+        with pytest.raises(KernelRan):
+            call()
+    assert capsys.readouterr().out == ""
 
 
 class TestSaturationRatio:
