@@ -28,13 +28,15 @@ formatted by :func:`_svc_bytes` from two tables of five-digit words.
 Every dataset-wide function forks over the CPUs with one subject's session
 as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
 :func:`hwfatigue.synth.generate_dataset` and
-:func:`hwfatigue.synth.write_synthetic`; :func:`_fan_out` says how.
+:func:`hwfatigue.synth.write_synthetic`; :func:`_fan_out` says how.  The
+arrays a child returns reach the caller through a shared file that the
+caller maps, one mapping per unit, instead of through a pipe.
 
 One function, :func:`_sample_fault`, checks every sample array, and every
 array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
 returns exactly the arrays the public constructor accepts, which copies and
 checks the caller's array; arrays the package builds and checks itself
-(parsed files, generated sessions, recordings unpickled from a child) are
+(parsed files, generated sessions, results mapped from a child) are
 wrapped by a private constructor without a copy or a second check.
 Likewise one function, :func:`_int_in`, checks each integer a caller passes
 in: a ceiling or saturation level, a recording id, a count, a seed, a flag.
@@ -50,6 +52,7 @@ import os
 import pickle
 import re
 import signal
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -325,7 +328,7 @@ def _parse_vectorized(text: str) -> np.ndarray | None:
         declared = int(head)
     except ValueError:
         return None
-    if not body.strip(" \t\n"):
+    if not body or body.isspace():  # the byte set leaves only " \t\n" to count as space
         return None
     try:
         with warnings.catch_warnings():
@@ -507,6 +510,11 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
     aborts the whole load with a :class:`SvcParseError` naming its path and
     line; with several malformed files it is the first in walk order.
     Session directories are read in parallel (see the module docstring).
+
+    A session read by a forked child comes back as read-only views of one
+    shared mapping, so one recording kept alive keeps at most its
+    session's nine arrays alive, as with
+    :func:`hwfatigue.synth.generate_dataset`.
     """
     root = Path(root)
     if not root.is_dir():
@@ -577,10 +585,12 @@ def _write_session(root: Path, keys: list[tuple[int, int, int]], arrays) -> list
 
 def _process_count() -> int:
     """CPUs this process may run on; 1 in a daemonic process (a
-    ``multiprocessing.Pool`` worker, say), which may not start children."""
+    ``multiprocessing.Pool`` worker, say), which may not start children,
+    and where ``os.memfd_create`` is missing, which :func:`_fan_out` needs."""
     import multiprocessing  # here, not at the top: importing the CLI stays lean
 
-    if multiprocessing.current_process().daemon or not hasattr(os, "sched_getaffinity"):
+    if (multiprocessing.current_process().daemon or not hasattr(os, "sched_getaffinity")
+            or not hasattr(os, "memfd_create")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -594,16 +604,21 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     left, so no more processes are busy than there are CPUs and none waits
     on another's fixed share.  ``fn`` and the chunks reach the children
     through fork and are never pickled.  Every process stops at its first
-    failing chunk (:func:`_outcomes`); each child sends its outcomes as one
-    protocol-5 pickle once it stops.  Once all are in and every child is
-    reaped, the failure of the earliest chunk is raised, which is the one
-    ``n = 1`` (run inline) would raise.  The children ignore SIGINT, and a
-    caller that stops early (an interrupt, say) terminates them before it
-    reaps them, so none runs on after the call.  Python 3.12 and later warn
-    (``DeprecationWarning``) when a multi-threaded process forks, and
-    importing numpy leaves its OpenBLAS threads running; the children only
-    draw random numbers, parse, format, count rank sums and do file I/O,
-    make no BLAS call, and leave through ``os._exit``.
+    failing chunk (:func:`_outcomes`).  Each child writes the array data of
+    its results into its own anonymous shared file (``os.memfd_create``,
+    made here before the fork) and, once it stops, sends the rest through a
+    pipe (:func:`_run_child`); the caller maps each chunk's arrays
+    read-only from that file and wraps them without a copy
+    (:func:`_mapped`), so a result keeps its chunk's mapping alive and no
+    more.  Once all are in and every child is reaped, the failure of the
+    earliest chunk is raised, which is the one ``n = 1`` (run inline) would
+    raise.  The children ignore SIGINT, and a caller that stops early (an
+    interrupt, say) terminates them before it reaps them, so none runs on
+    after the call; every pipe and shared file is closed by then.  Python
+    3.12 and later warn (``DeprecationWarning``) when a multi-threaded
+    process forks, and importing numpy leaves its OpenBLAS threads running;
+    the children only draw random numbers, parse, format, count rank sums
+    and do file I/O, make no BLAS call, and leave through ``os._exit``.
     """
     n = min(_process_count(), len(chunks))
     if n <= 1:
@@ -614,33 +629,42 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     counter = mmap.mmap(-1, 8)  # the next chunk to claim, shared with the children
     counter[:] = n.to_bytes(8, "little")
     claims = functools.partial(_claims, end=len(chunks), counter=counter, lock=context.Lock())
-    workers, lost = [], None
+    memfds, pipes, workers, lost = [], [], [], None
     try:
         for k in range(1, n):
+            memfds.append(os.memfd_create("hwfatigue"))
             read_fd, write_fd = os.pipe()
-            worker = context.Process(target=_run_child, args=(fn, chunks, claims(k), write_fd),
-                                     daemon=True)
+            pipes.append(open(read_fd, "rb"))
             # Both signals wait until the child has its own handlers and is in workers.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
             try:
+                worker = context.Process(target=_run_child, daemon=True, args=(
+                    fn, chunks, claims(k), write_fd, memfds[-1]))
                 worker.start()
-                os.close(write_fd)
-                workers.append((worker, open(read_fd, "rb")))
+                workers.append(worker)
             finally:
+                os.close(write_fd)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        outcomes = _outcomes(fn, chunks, claims(0))
-        for worker, pipe in workers:
+        outcomes = list(_outcomes(fn, chunks, claims(0)))
+        for worker, pipe, memfd in zip(workers, pipes, memfds):
             try:
-                outcomes += pickle.load(pipe)
+                report = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 worker.join()
                 lost = lost or OSError(f"worker process exited with code {worker.exitcode} "
                                        "before reporting its results")
+                continue
+            outcomes += [(i, ok, pickle.loads(head, buffers=_mapped(memfd, offset, sizes)))
+                         for i, ok, head, offset, sizes in report]
     finally:
-        for worker, pipe in workers:
-            pipe.close()
+        for worker in workers:
             worker.terminate()  # done if it reported; if not (an interrupt), stopped now
             worker.join()
+            worker.close()
+        for fd in memfds:
+            os.close(fd)
+        for pipe in pipes:
+            pipe.close()
         counter.close()
     # Chunks are claimed in order and a process claims none after its first
     # failure, so a chunk without an outcome lies past an earlier failure or
@@ -669,27 +693,60 @@ def _claims(first: int, end: int, counter: mmap.mmap, lock) -> Iterator[int]:
 
 
 def _outcomes(fn: Callable, chunks: Sequence,
-              claimed: Iterable[int]) -> list[tuple[int, bool, object]]:
+              claimed: Iterable[int]) -> Iterator[tuple[int, bool, object]]:
     """``(i, True, fn(chunks[i]))`` for each claimed chunk ``i`` up to the
-    first failure, which ends the list as ``(i, False, error)`` and stops
-    the claims."""
-    outcomes = []
+    first failure, which ends them as ``(i, False, error)`` and stops the
+    claims.  Each chunk is claimed only once the one before is consumed."""
     for i in claimed:
         try:
-            outcomes.append((i, True, fn(chunks[i])))
+            value = fn(chunks[i])
         except Exception as err:
-            outcomes.append((i, False, err))
-            break
-    return outcomes
+            yield i, False, err
+            return
+        yield i, True, value
 
 
-def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], fd: int) -> None:
-    """Body of a forked child: write the :func:`_outcomes` of the chunks it
-    claims to the pipe end ``fd`` as one protocol-5 pickle.  The pickler
-    writes each array's data straight from its memory and the caller's
-    unpickler reads it into the new array, so it is not copied on the way."""
+def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], fd: int,
+               memfd: int) -> None:
+    """Body of a forked child: pickle each of the :func:`_outcomes` of the
+    chunks it claims as it comes, with protocol 5.  The out-of-band buffers
+    (each array's data) go straight from the arrays into the shared file
+    ``memfd``, one chunk's buffers back to back from an offset aligned for
+    ``mmap``; once it stops, the child sends the list of ``(i, ok, pickle,
+    offset, buffer sizes)`` to the pipe end ``fd`` as one pickle."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller alone answers an interrupt
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # and stops the child with terminate()
     signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGINT, signal.SIGTERM))
+    report = []
+    with open(memfd, "wb") as shared:
+        for i, ok, value in _outcomes(fn, chunks, claimed):
+            buffers = []
+            head = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
+            offset = -(-shared.tell() // mmap.ALLOCATIONGRANULARITY) * mmap.ALLOCATIONGRANULARITY
+            shared.seek(offset)
+            sizes = [shared.write(buffer.raw()) for buffer in buffers]
+            report.append((i, ok, head, offset, sizes))
     with open(fd, "wb") as pipe:
-        pickle.dump(_outcomes(fn, chunks, claimed), pipe, protocol=5)
+        pickle.dump(report, pipe, protocol=5)
+
+
+# Read-only mappings whose page table entries are all set up by the one
+# mmap call (MAP_POPULATE, where there is one): the caller reads every array
+# it maps, and faulting the pages in one by one on first touch costs more.
+# Before Python 3.13 a mapping holds a duplicate of its file's descriptor for
+# as long as it lives; from 3.13 on it may drop it.
+_MAP_OPTIONS = {"flags": mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0),
+                "prot": mmap.PROT_READ}
+if sys.version_info >= (3, 13):
+    _MAP_OPTIONS["trackfd"] = False
+
+
+def _mapped(memfd: int, offset: int, sizes: list[int]) -> list[memoryview]:
+    """Read-only views of consecutive buffers of ``sizes`` bytes at
+    ``offset`` of the shared file ``memfd``, all in one mapping that lives
+    as long as any of them; no mapping when they hold no bytes."""
+    total = sum(sizes)
+    view = memoryview(mmap.mmap(memfd, total, offset=offset, **_MAP_OPTIONS)
+                      if total else b"")
+    ends = itertools.accumulate(sizes)
+    return [view[end - size:end] for size, end in zip(sizes, ends)]

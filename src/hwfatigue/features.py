@@ -58,11 +58,17 @@ def feature_of_rows(feature: FeatureName, rows, levels) -> np.ndarray:
     return np.array(rows, dtype=np.float64).mean(axis=1)
 
 
-def _series(values, dtype=None) -> np.ndarray:
-    """``values`` as a 1-d array; ValueError naming the shape otherwise."""
-    a = np.asarray(values, dtype=dtype)
+def _series(values) -> np.ndarray:
+    """``values`` as a 1-d array; ValueError naming the shape otherwise, or
+    the index of the first NaN.  Only a float or complex series can hold
+    one, so an integer series is not searched."""
+    a = np.asarray(values)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {a.shape}")
+    if a.dtype.kind in "fc":
+        nan = np.isnan(a)
+        if nan.any():
+            raise ValueError(f"series holds NaN at index {int(np.argmax(nan))}")
     return a
 
 
@@ -90,10 +96,10 @@ def first_difference(f) -> np.ndarray:
     The denominator is one sample interval, not wall-clock time, so the
     units are input-units per sample.
     """
-    a = _series(f, np.float64)
+    a = _series(f)
     if a.size < 2:
         raise ValueError("first difference needs at least 2 samples")
-    return np.diff(a)
+    return np.diff(a.astype(np.float64, copy=False))
 
 
 def extract_features(recording: Recording, pen_down_only: bool = False) -> FeatureVector:

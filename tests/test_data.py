@@ -1,10 +1,12 @@
+import gc
 import io
 import json
+import mmap
 import multiprocessing
 import os
 import pickle
 import re
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +109,18 @@ class TestParseSvc:
         with pytest.raises(SvcParseError, match="must be positive, got 0") as exc:
             parse_svc("0\n")
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("3", 1), ("3\n", 1), ("\n\n3\n", 3), ("3\n\n \t\n\t\n", 1), (" 3 \r\n \r\n\n", 1)])
+    def test_header_without_data_lines(self, text, line, tmp_path):
+        assert data._parse_vectorized(text.replace("\r\n", "\n")) is None
+        path = tmp_path / "task1.svc"
+        path.write_text(text, newline="")
+        for parse, where in ((lambda: parse_svc(text), ""), (lambda: read_svc(path), f"{path}:")):
+            with pytest.raises(SvcParseError) as exc:
+                parse()
+            assert str(exc.value) == (f"{where}{line}: sample count mismatch: "
+                                      "header declares 3, found 0 data lines")
 
     def test_error_never_returns_partial(self):
         # second line is bad: nothing from line one must leak out
@@ -618,17 +632,39 @@ def _dataset_arrays(config):
 
 
 class _ExitWhenPickled:
-    """Ends the process that pickles it with exit code 5: at once, or
-    ``delay`` seconds later from a timer thread while pickling goes on."""
-
-    def __init__(self, delay=None):
-        self.delay = delay
+    """Ends the process that pickles it with exit code 5."""
 
     def __reduce__(self):
-        if self.delay is None:
-            os._exit(5)
-        threading.Timer(self.delay, os._exit, (5,)).start()
-        return int, ()
+        os._exit(5)
+
+
+def _mapping(array):
+    """The ``mmap.mmap`` at the end of ``array``'s base chain, or None."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    base = base.obj if isinstance(base, memoryview) else base
+    return base if isinstance(base, mmap.mmap) else None
+
+
+def _shared_mappings():
+    """Sizes in bytes of this process's mappings of the package's shared
+    files, once garbage collection has dropped every result no longer
+    referenced."""
+    gc.collect()
+    sizes = []
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            if "memfd:hwfatigue" in line:
+                start, end = line.split()[0].split("-")
+                sizes.append(int(end, 16) - int(start, 16))
+    return sizes
+
+
+def _open_fds():
+    """Open file descriptors of this process, counted as for _shared_mappings."""
+    gc.collect()
+    return len(os.listdir("/proc/self/fd"))
 
 
 class TestFanOut:
@@ -720,23 +756,20 @@ class TestFanOut:
             in_worker = pool.apply_async(_dataset_arrays, (config,)).get(timeout=60)
         assert in_worker == _dataset_arrays(config)
 
-    @pytest.mark.parametrize("delay", [None, 0.3], ids=["between_opcodes", "inside_data"])
-    def test_child_dying_mid_message_is_an_error(self, processes, delay):
-        # The child exits while it pickles chunk 1's outcome: right after the
-        # array's data (delay None, the pickle ends between two opcodes), or
-        # from a timer while the array's data fills the pipe, which the
-        # caller reads only once the child is gone (the pickle ends inside
-        # the data).
+    @pytest.mark.parametrize("stage", ["between_opcodes", "inside_data"])
+    def test_child_dying_mid_message_is_an_error(self, processes, monkeypatch, stage):
+        # The child exits while it reports chunk 1's outcome: while it
+        # pickles it, right after the array's data went into the shared file
+        # (between_opcodes), or once every array is in the shared file but
+        # before its report reaches the pipe (inside_data).
         def fn(chunk):
             if chunk == 0:
-                if delay is not None:
-                    for child in multiprocessing.active_children():
-                        child.join(timeout=60)
                 return None
             array = np.zeros((9, 2000, 7), dtype=np.int64)
-            return [array, _ExitWhenPickled()] if delay is None else [
-                _ExitWhenPickled(delay), array]
+            return [array, _ExitWhenPickled()] if stage == "between_opcodes" else array
 
+        if stage == "inside_data":
+            monkeypatch.setattr(pickle, "dump", lambda *args, **kwargs: os._exit(5))
         processes(2)
         with pytest.raises(OSError) as exc:
             data._fan_out(fn, [0, 1])
@@ -844,6 +877,92 @@ class TestFanOut:
             errors.append(error_of(lambda: write_synthetic(config, tmp_path / f"n{n}")))
             assert multiprocessing.active_children() == []
         assert errors == [(ValueError, f"injected fault in {faulty_session}", None, None)] * 3
+
+    def test_child_arrays_are_read_only_mappings(self, root, processes):
+        # Chunk 0 (subject 1, session 1) runs in the caller and chunk 1
+        # (session 2) in child 1; the other chunks go to whichever claims them.
+        config = SynthConfig(n_subjects=3, samples_per_recording=30, seed=9)
+        processes(1)
+        expected = [generate_dataset(config), load_dataset(root)]
+        assert all(_mapping(rec.samples) is None for ds in expected for rec in ds)
+        for n in (2, 3):
+            processes(n)
+            for ds, want in zip([generate_dataset(config), load_dataset(root)], expected):
+                assert ds.keys() == want.keys()
+                for rec in ds:
+                    assert np.array_equal(rec.samples, want.get(*rec.key).samples)
+                    assert not rec.samples.flags.writeable
+                assert all(_mapping(ds.get(1, 1, t).samples) is None for t in data.TASKS)
+                assert all(isinstance(_mapping(ds.get(1, 2, t).samples), mmap.mmap)
+                           for t in data.TASKS)
+
+    @pytest.mark.parametrize("ending", ["success", "failing_chunk", "dying_child", "interrupt",
+                                        "start_fails"])
+    def test_no_file_or_mapping_left_behind(self, processes, monkeypatch, ending):
+        def fn(chunk):
+            if ending == "failing_chunk" and chunk == 3:
+                raise ValueError("chunk 3")
+            if ending == "dying_child" and chunk == 1:
+                os._exit(5)
+            if ending == "interrupt" and chunk == 0:
+                raise KeyboardInterrupt
+            return np.full((9, 200, 7), chunk)
+
+        processes(3)
+        data._fan_out(abs, range(2))  # starts what multiprocessing keeps for the process
+        fds, mappings = _open_fds(), len(_shared_mappings())
+        if ending == "start_fails":  # the second child's fork fails
+            start = multiprocessing.context.ForkProcess.start
+            started = []
+
+            def start_once(worker):
+                if started:
+                    raise OSError("fork failed")
+                started.append(start(worker))
+
+            monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_once)
+        if ending == "success":
+            results = data._fan_out(fn, range(6))
+            assert [int(r[0, 0, 0]) for r in results] == list(range(6))
+            assert len(_shared_mappings()) > mappings
+            del results
+        else:
+            expected = {"failing_chunk": ValueError, "dying_child": OSError,
+                        "interrupt": KeyboardInterrupt, "start_fails": OSError}[ending]
+            with pytest.raises(expected):
+                data._fan_out(fn, range(6))
+        assert multiprocessing.active_children() == []
+        assert _open_fds() == fds
+        assert len(_shared_mappings()) == mappings
+
+    def test_one_kept_recording_keeps_one_mapping(self, root, processes, monkeypatch):
+        # The caller's chunk 0 waits, so that child 1 reads most sessions and
+        # the last it reads lies past the start of its shared file.  The
+        # mapping holds that session alone: nine arrays of 30 samples, in pages.
+        read = data.read_svc
+
+        def slow_first_file(path, device):
+            if path == recording_path(root, 1, 1, 1):
+                time.sleep(0.3)
+            return read(path, device)
+
+        monkeypatch.setattr(data, "read_svc", slow_first_file)
+        session_bytes = -(-9 * 30 * 7 * 8 // mmap.PAGESIZE) * mmap.PAGESIZE
+        processes(2)
+        before = _shared_mappings()
+        dataset = load_dataset(root)
+        kept = [rec for rec in dataset if _mapping(rec.samples) is not None][-1]
+        assert kept.key > (1, 2, 9)
+        del dataset
+        after = _shared_mappings()
+        assert len(after) == len(before) + 1
+        assert sum(after) - sum(before) == session_bytes
+        del kept
+        assert _shared_mappings() == before
+
+    def test_runs_inline_without_memfd(self, monkeypatch):
+        monkeypatch.delattr(os, "memfd_create")
+        assert data._process_count() == 1
 
 
 class TestCheckedOnce:

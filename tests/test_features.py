@@ -31,6 +31,27 @@ def test_scalar_features_refuse_a_series_that_is_not_1d(series):
             call()
 
 
+NAN = {"first": ([np.nan, 1023.0, 1.0], 0), "last": ([3.0, 5.0, np.nan], 2),
+       "float32": (np.array([1, np.nan, np.nan], np.float32), 1),
+       "complex": (np.array([1, 2, complex(0, np.nan)]), 2)}
+
+
+@pytest.mark.parametrize("series, index", NAN.values(), ids=NAN.keys())
+def test_series_features_refuse_nan(series, index):
+    message = f"^series holds NaN at index {index}$"
+    for call in (lambda: saturation_ratio(series, 1023), lambda: mean_pressure(series),
+                 lambda: first_difference(series),
+                 lambda: saturation_ratio(series, 0)):  # the series is checked first
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_integer_series_is_not_searched_for_nan(monkeypatch):
+    monkeypatch.setattr(features.np, "isnan", lambda a: pytest.fail("searched for NaN"))
+    fv = extract_features(make_recording())
+    assert fv.n_samples == 3 and fv.speed_x.dtype == np.float64
+
+
 def test_every_feature_path_runs_the_one_kernel(monkeypatch, tmp_path, capsys):
     class KernelRan(Exception):
         pass
