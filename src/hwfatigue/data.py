@@ -52,7 +52,6 @@ import os
 import pickle
 import re
 import signal
-import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -514,7 +513,9 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
     A session read by a forked child comes back as read-only views of one
     shared mapping, so one recording kept alive keeps at most its
     session's nine arrays alive, as with
-    :func:`hwfatigue.synth.generate_dataset`.
+    :func:`hwfatigue.synth.generate_dataset`.  The memory of every session
+    the same child read stays, though, until the last recording any of
+    them holds is dropped (see :func:`_fan_out`).
     """
     root = Path(root)
     if not root.is_dir():
@@ -609,10 +610,13 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     made here before the fork) and, once it stops, sends the rest through a
     pipe (:func:`_run_child`); the caller maps each chunk's arrays
     read-only from that file and wraps them without a copy
-    (:func:`_mapped`), so a result keeps its chunk's mapping alive and no
-    more.  Once all are in and every child is reaped, the failure of the
-    earliest chunk is raised, which is the one ``n = 1`` (run inline) would
-    raise.  The children ignore SIGINT, and a caller that stops early (an
+    (:func:`_mapped`).  A result keeps its chunk's mapping alive and no
+    other, but a mapping keeps its whole file: the pages of every chunk a
+    child returned are freed when the last mapping of its file goes.  No
+    mapping holds a file descriptor.  Once all are in and every child is
+    reaped, the failure of the earliest chunk is raised, which is the one
+    ``n = 1`` (run inline) would raise; its traceback keeps none of the
+    results.  The children ignore SIGINT, and a caller that stops early (an
     interrupt, say) terminates them before it reaps them, so none runs on
     after the call; every pipe and shared file is closed by then.  Python
     3.12 and later warn (``DeprecationWarning``) when a multi-threaded
@@ -670,10 +674,12 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     # failure, so a chunk without an outcome lies past an earlier failure or
     # was claimed by a child that died before reporting.
     by_chunk = {i: (ok, value) for i, ok, value in outcomes}
+    del outcomes  # a raised failure's traceback keeps this frame, but not the results
     results = []
     for i in range(len(chunks)):
         ok, value = by_chunk.get(i, (False, lost))
         if not ok:
+            del by_chunk, results
             raise value
         results.append(value)
     return results
@@ -699,11 +705,12 @@ def _outcomes(fn: Callable, chunks: Sequence,
     claims.  Each chunk is claimed only once the one before is consumed."""
     for i in claimed:
         try:
-            value = fn(chunks[i])
+            outcome = i, True, fn(chunks[i])
         except Exception as err:
-            yield i, False, err
+            outcome = i, False, err  # replacing the last result, which err's traceback would keep
+        yield outcome
+        if not outcome[1]:
             return
-        yield i, True, value
 
 
 def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], fd: int,
@@ -730,15 +737,41 @@ def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], fd: int,
         pickle.dump(report, pipe, protocol=5)
 
 
-# Read-only mappings whose page table entries are all set up by the one
-# mmap call (MAP_POPULATE, where there is one): the caller reads every array
-# it maps, and faulting the pages in one by one on first touch costs more.
-# Before Python 3.13 a mapping holds a duplicate of its file's descriptor for
-# as long as it lives; from 3.13 on it may drop it.
-_MAP_OPTIONS = {"flags": mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0),
-                "prot": mmap.PROT_READ}
-if sys.version_info >= (3, 13):
-    _MAP_OPTIONS["trackfd"] = False
+@functools.cache
+def _libc():
+    """libc with ``mmap`` and ``munmap`` declared for ctypes."""
+    import ctypes  # here, not at the top: importing the CLI stays lean
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mmap.restype = ctypes.c_void_p
+    libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
+                          ctypes.c_int, ctypes.c_long)
+    libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+    return libc
+
+
+class _Mapping:
+    """A read-only shared mapping of ``size`` bytes at ``offset`` of the file
+    ``fd``, unmapped when this object dies; numpy reads it as a uint8 array.
+    It is made by libc's ``mmap`` because a ``mmap.mmap`` holds a duplicate
+    of the file's descriptor for as long as it lives (before Python 3.13),
+    and a dataset would then hold one descriptor per session."""
+
+    def __init__(self, fd: int, offset: int, size: int):
+        import ctypes
+
+        libc = _libc()
+        address = libc.mmap(None, size, mmap.PROT_READ, mmap.MAP_SHARED, fd, offset)
+        if address == ctypes.c_void_p(-1).value:  # MAP_FAILED
+            errno = ctypes.get_errno()
+            raise OSError(errno, os.strerror(errno))
+        self.__array_interface__ = {"version": 3, "shape": (size,), "typestr": "|u1",
+                                    "data": (address, True)}
+        self._unmap = functools.partial(libc.munmap, address, size)
+
+    def __del__(self):
+        if hasattr(self, "_unmap"):
+            self._unmap()
 
 
 def _mapped(memfd: int, offset: int, sizes: list[int]) -> list[memoryview]:
@@ -746,7 +779,6 @@ def _mapped(memfd: int, offset: int, sizes: list[int]) -> list[memoryview]:
     ``offset`` of the shared file ``memfd``, all in one mapping that lives
     as long as any of them; no mapping when they hold no bytes."""
     total = sum(sizes)
-    view = memoryview(mmap.mmap(memfd, total, offset=offset, **_MAP_OPTIONS)
-                      if total else b"")
+    view = memoryview(np.asarray(_Mapping(memfd, offset, total)) if total else b"")
     ends = itertools.accumulate(sizes)
     return [view[end - size:end] for size, end in zip(sizes, ends)]

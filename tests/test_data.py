@@ -1,4 +1,3 @@
-import gc
 import io
 import json
 import mmap
@@ -6,7 +5,9 @@ import multiprocessing
 import os
 import pickle
 import re
+import resource
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -639,19 +640,15 @@ class _ExitWhenPickled:
 
 
 def _mapping(array):
-    """The ``mmap.mmap`` at the end of ``array``'s base chain, or None."""
+    """The shared mapping at the end of ``array``'s base chain, or None."""
     base = array
-    while isinstance(base, np.ndarray):
-        base = base.base
-    base = base.obj if isinstance(base, memoryview) else base
-    return base if isinstance(base, mmap.mmap) else None
+    while isinstance(base, (np.ndarray, memoryview)):
+        base = base.base if isinstance(base, np.ndarray) else base.obj
+    return base if isinstance(base, data._Mapping) else None
 
 
 def _shared_mappings():
-    """Sizes in bytes of this process's mappings of the package's shared
-    files, once garbage collection has dropped every result no longer
-    referenced."""
-    gc.collect()
+    """Sizes in bytes of this process's mappings of the package's shared files."""
     sizes = []
     with open("/proc/self/maps") as maps:
         for line in maps:
@@ -661,10 +658,15 @@ def _shared_mappings():
     return sizes
 
 
-def _open_fds():
-    """Open file descriptors of this process, counted as for _shared_mappings."""
-    gc.collect()
-    return len(os.listdir("/proc/self/fd"))
+def _shared_file_descriptors():
+    """Descriptors of the package's shared files open in this process."""
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except FileNotFoundError:  # the one listdir opened, closed since
+            pass
+    return [link for link in links if "memfd:hwfatigue" in link]
 
 
 class TestFanOut:
@@ -759,17 +761,23 @@ class TestFanOut:
     @pytest.mark.parametrize("stage", ["between_opcodes", "inside_data"])
     def test_child_dying_mid_message_is_an_error(self, processes, monkeypatch, stage):
         # The child exits while it reports chunk 1's outcome: while it
-        # pickles it, right after the array's data went into the shared file
-        # (between_opcodes), or once every array is in the shared file but
-        # before its report reaches the pipe (inside_data).
+        # pickles it, before anything reached the shared file or the pipe
+        # (between_opcodes), or once its arrays are in the shared file, part
+        # way through writing its report to the pipe (inside_data), which
+        # leaves the caller a truncated pickle.
         def fn(chunk):
             if chunk == 0:
                 return None
             array = np.zeros((9, 2000, 7), dtype=np.int64)
             return [array, _ExitWhenPickled()] if stage == "between_opcodes" else array
 
+        def dump_part(report, pipe, **kwargs):
+            pipe.write(pickle.dumps(report, **kwargs)[:-8])
+            pipe.flush()
+            os._exit(5)
+
         if stage == "inside_data":
-            monkeypatch.setattr(pickle, "dump", lambda *args, **kwargs: os._exit(5))
+            monkeypatch.setattr(pickle, "dump", dump_part)
         processes(2)
         with pytest.raises(OSError) as exc:
             data._fan_out(fn, [0, 1])
@@ -893,12 +901,17 @@ class TestFanOut:
                     assert np.array_equal(rec.samples, want.get(*rec.key).samples)
                     assert not rec.samples.flags.writeable
                 assert all(_mapping(ds.get(1, 1, t).samples) is None for t in data.TASKS)
-                assert all(isinstance(_mapping(ds.get(1, 2, t).samples), mmap.mmap)
-                           for t in data.TASKS)
+                assert len({id(_mapping(ds.get(1, 2, t).samples)) for t in data.TASKS}) == 1
+                assert isinstance(_mapping(ds.get(1, 2, 1).samples), data._Mapping)
+                assert _shared_file_descriptors() == []
 
     @pytest.mark.parametrize("ending", ["success", "failing_chunk", "dying_child", "interrupt",
                                         "start_fails"])
-    def test_no_file_or_mapping_left_behind(self, processes, monkeypatch, ending):
+    def test_no_file_mapping_or_result_left_behind(self, processes, monkeypatch, ending):
+        # Counted without a garbage collection: a result must not wait for one,
+        # nor be kept by the traceback of a failure.
+        made = []
+
         def fn(chunk):
             if ending == "failing_chunk" and chunk == 3:
                 raise ValueError("chunk 3")
@@ -906,11 +919,13 @@ class TestFanOut:
                 os._exit(5)
             if ending == "interrupt" and chunk == 0:
                 raise KeyboardInterrupt
-            return np.full((9, 200, 7), chunk)
+            result = np.full((9, 200, 7), chunk)
+            made.append(weakref.ref(result))  # reaches this list in the caller alone
+            return result
 
         processes(3)
         data._fan_out(abs, range(2))  # starts what multiprocessing keeps for the process
-        fds, mappings = _open_fds(), len(_shared_mappings())
+        fds, mappings = len(os.listdir("/proc/self/fd")), len(_shared_mappings())
         if ending == "start_fails":  # the second child's fork fails
             start = multiprocessing.context.ForkProcess.start
             started = []
@@ -932,8 +947,10 @@ class TestFanOut:
             with pytest.raises(expected):
                 data._fan_out(fn, range(6))
         assert multiprocessing.active_children() == []
-        assert _open_fds() == fds
+        assert len(os.listdir("/proc/self/fd")) == fds
         assert len(_shared_mappings()) == mappings
+        assert ending in ("interrupt", "start_fails") or made
+        assert [ref() is None for ref in made] == [True] * len(made)
 
     def test_one_kept_recording_keeps_one_mapping(self, root, processes, monkeypatch):
         # The caller's chunk 0 waits, so that child 1 reads most sessions and
@@ -959,6 +976,21 @@ class TestFanOut:
         assert sum(after) - sum(before) == session_bytes
         del kept
         assert _shared_mappings() == before
+
+    def test_kept_results_hold_no_descriptor(self, processes):
+        # Two live datasets of 150 sessions each, made under a soft limit of
+        # 32 descriptors above those open: a result that held one would
+        # exhaust it.
+        processes(3)
+        config = SynthConfig(n_subjects=30, samples_per_recording=5)
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/proc/self/fd")) + 32, hard))
+        try:
+            datasets = [generate_dataset(config) for _ in range(2)]
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert [len(ds) for ds in datasets] == [30 * 45] * 2
+        assert sum(_mapping(rec.samples) is not None for rec in datasets[1]) > 9 * 32
 
     def test_runs_inline_without_memfd(self, monkeypatch):
         monkeypatch.delattr(os, "memfd_create")
