@@ -29,8 +29,9 @@ Every dataset-wide function forks over the CPUs with one subject's session
 as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
 :func:`hwfatigue.synth.generate_dataset` and
 :func:`hwfatigue.synth.write_synthetic`; :func:`_fan_out` says how.  The
-arrays a child returns reach the caller through a shared file that the
-caller maps, one mapping per unit, instead of through a pipe.
+results of a child reach the caller through one shared file that the
+caller maps once: a result kept from a child keeps that child's whole file,
+and a result of the caller's own units keeps only its own arrays.
 
 One function, :func:`_sample_fault`, checks every sample array, and every
 array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
@@ -510,12 +511,12 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
     line; with several malformed files it is the first in walk order.
     Session directories are read in parallel (see the module docstring).
 
-    A session read by a forked child comes back as read-only views of one
-    shared mapping, so one recording kept alive keeps at most its
-    session's nine arrays alive, as with
-    :func:`hwfatigue.synth.generate_dataset`.  The memory of every session
-    the same child read stays, though, until the last recording any of
-    them holds is dropped (see :func:`_fan_out`).
+    The sessions a forked child read come back as read-only views of one
+    mapping of its shared file, as with
+    :func:`hwfatigue.synth.generate_dataset`: one recording kept from a
+    child keeps every session that child read, until the last of them is
+    dropped, and one kept from the caller's own sessions keeps only its own
+    array (see :func:`_fan_out`).
     """
     root = Path(root)
     if not root.is_dir():
@@ -605,24 +606,25 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     left, so no more processes are busy than there are CPUs and none waits
     on another's fixed share.  ``fn`` and the chunks reach the children
     through fork and are never pickled.  Every process stops at its first
-    failing chunk (:func:`_outcomes`).  Each child writes the array data of
-    its results into its own anonymous shared file (``os.memfd_create``,
-    made here before the fork) and, once it stops, sends the rest through a
-    pipe (:func:`_run_child`); the caller maps each chunk's arrays
-    read-only from that file and wraps them without a copy
-    (:func:`_mapped`).  A result keeps its chunk's mapping alive and no
-    other, but a mapping keeps its whole file: the pages of every chunk a
-    child returned are freed when the last mapping of its file goes.  No
-    mapping holds a file descriptor.  Once all are in and every child is
-    reaped, the failure of the earliest chunk is raised, which is the one
-    ``n = 1`` (run inline) would raise; its traceback keeps none of the
-    results.  The children ignore SIGINT, and a caller that stops early (an
-    interrupt, say) terminates them before it reaps them, so none runs on
-    after the call; every pipe and shared file is closed by then.  Python
-    3.12 and later warn (``DeprecationWarning``) when a multi-threaded
-    process forks, and importing numpy leaves its OpenBLAS threads running;
-    the children only draw random numbers, parse, format, count rank sums
-    and do file I/O, make no BLAS call, and leave through ``os._exit``.
+    failing chunk (:func:`_outcomes`).  Each child writes its whole report
+    into its own anonymous shared file (``os.memfd_create``, made here
+    before the fork; :func:`_run_child`).  Once a child has exited, the
+    caller maps its file read-only, once, and unpickles the child's results
+    over that one mapping without a copy (:func:`_reported`); a child that
+    left no report, whatever its exit code, fails at its first chunk.  So a result
+    kept from a child keeps that child's whole file, which goes with the
+    last of them, and a result of the caller's own chunks keeps only its
+    own arrays.  No mapping holds a file descriptor.  Once all are in and
+    every child is reaped, the failure of the earliest chunk is raised,
+    which is the one ``n = 1`` (run inline) would raise; its traceback
+    keeps none of the results.  The children ignore SIGINT, and a caller
+    that stops early (an interrupt, say) terminates them before it reaps
+    them, so none runs on after the call; every shared file is closed by
+    then.  Python 3.12 and later warn (``DeprecationWarning``) when a
+    multi-threaded process forks, and importing numpy leaves its OpenBLAS
+    threads running; the children only draw random numbers, parse, format,
+    count rank sums and do file I/O, make no BLAS call, and leave through
+    ``os._exit``.
     """
     n = min(_process_count(), len(chunks))
     if n <= 1:
@@ -633,33 +635,25 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     counter = mmap.mmap(-1, 8)  # the next chunk to claim, shared with the children
     counter[:] = n.to_bytes(8, "little")
     claims = functools.partial(_claims, end=len(chunks), counter=counter, lock=context.Lock())
-    memfds, pipes, workers, lost = [], [], [], None
+    memfds, workers = [], []
     try:
         for k in range(1, n):
             memfds.append(os.memfd_create("hwfatigue"))
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
             # Both signals wait until the child has its own handlers and is in workers.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
             try:
-                worker = context.Process(target=_run_child, daemon=True, args=(
-                    fn, chunks, claims(k), write_fd, memfds[-1]))
+                worker = context.Process(target=_run_child, daemon=True,
+                                         args=(fn, chunks, claims(k), memfds[-1]))
                 worker.start()
                 workers.append(worker)
             finally:
-                os.close(write_fd)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         outcomes = list(_outcomes(fn, chunks, claims(0)))
-        for worker, pipe, memfd in zip(workers, pipes, memfds):
-            try:
-                report = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                worker.join()
-                lost = lost or OSError(f"worker process exited with code {worker.exitcode} "
-                                       "before reporting its results")
-                continue
-            outcomes += [(i, ok, pickle.loads(head, buffers=_mapped(memfd, offset, sizes)))
-                         for i, ok, head, offset, sizes in report]
+        for k, (worker, memfd) in enumerate(zip(workers, memfds), start=1):
+            worker.join()
+            outcomes += _reported(memfd) or [(k, False, OSError(
+                f"worker process exited with code {worker.exitcode} "
+                "before reporting its results"))]
     finally:
         for worker in workers:
             worker.terminate()  # done if it reported; if not (an interrupt), stopped now
@@ -667,17 +661,15 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
             worker.close()
         for fd in memfds:
             os.close(fd)
-        for pipe in pipes:
-            pipe.close()
         counter.close()
     # Chunks are claimed in order and a process claims none after its first
-    # failure, so a chunk without an outcome lies past an earlier failure or
-    # was claimed by a child that died before reporting.
+    # failure, so a chunk without an outcome lies past a failure: an earlier
+    # one, or chunk k of a child k that left no report, the first it claimed.
     by_chunk = {i: (ok, value) for i, ok, value in outcomes}
     del outcomes  # a raised failure's traceback keeps this frame, but not the results
     results = []
     for i in range(len(chunks)):
-        ok, value = by_chunk.get(i, (False, lost))
+        ok, value = by_chunk[i]
         if not ok:
             del by_chunk, results
             raise value
@@ -713,28 +705,49 @@ def _outcomes(fn: Callable, chunks: Sequence,
             return
 
 
-def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], fd: int,
-               memfd: int) -> None:
+def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], memfd: int) -> None:
     """Body of a forked child: pickle each of the :func:`_outcomes` of the
-    chunks it claims as it comes, with protocol 5.  The out-of-band buffers
-    (each array's data) go straight from the arrays into the shared file
-    ``memfd``, one chunk's buffers back to back from an offset aligned for
-    ``mmap``; once it stops, the child sends the list of ``(i, ok, pickle,
-    offset, buffer sizes)`` to the pipe end ``fd`` as one pickle."""
+    chunks it claims as it comes, with protocol 5, into the shared file
+    ``memfd``: the out-of-band buffers (each array's data) straight from
+    the arrays, one chunk's back to back from a multiple of 64 bytes
+    (aligned for any numpy dtype).  Once it stops, it appends the list of
+    ``(i, ok, pickle, offset, buffer sizes)`` as one pickle and, last of
+    all, writes the list's offset into the file's first 8 bytes, which read
+    zero until then (:func:`_reported`)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller alone answers an interrupt
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # and stops the child with terminate()
     signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGINT, signal.SIGTERM))
     report = []
     with open(memfd, "wb") as shared:
+        shared.seek(8)
         for i, ok, value in _outcomes(fn, chunks, claimed):
             buffers = []
             head = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
-            offset = -(-shared.tell() // mmap.ALLOCATIONGRANULARITY) * mmap.ALLOCATIONGRANULARITY
+            offset = -(-shared.tell() // 64) * 64
             shared.seek(offset)
             sizes = [shared.write(buffer.raw()) for buffer in buffers]
             report.append((i, ok, head, offset, sizes))
-    with open(fd, "wb") as pipe:
-        pickle.dump(report, pipe, protocol=5)
+        start = shared.tell()
+        pickle.dump(report, shared, protocol=5)
+        shared.seek(0)  # flushes the whole report before the offset is written
+        shared.write(start.to_bytes(8, "little"))
+
+
+def _reported(memfd: int) -> list[tuple[int, bool, object]]:
+    """The outcomes an exited child wrote into the shared file ``memfd``
+    (:func:`_run_child`); none when its first 8 bytes read zero, whatever
+    the child's exit code.  The file is mapped read-only once, and each
+    result is unpickled over slices of that mapping without a copy: a
+    result kept keeps the whole file, which goes with the last of them."""
+    start = int.from_bytes(os.pread(memfd, 8, 0), "little")
+    if not start:
+        return []
+    shared = memoryview(np.asarray(_Mapping(memfd, os.fstat(memfd).st_size)))
+    outcomes = []
+    for i, ok, head, offset, sizes in pickle.loads(shared[start:]):
+        spans = itertools.pairwise(itertools.accumulate(sizes, initial=offset))
+        outcomes.append((i, ok, pickle.loads(head, buffers=[shared[a:b] for a, b in spans])))
+    return outcomes
 
 
 @functools.cache
@@ -751,17 +764,17 @@ def _libc():
 
 
 class _Mapping:
-    """A read-only shared mapping of ``size`` bytes at ``offset`` of the file
+    """A read-only shared mapping of the first ``size`` bytes of the file
     ``fd``, unmapped when this object dies; numpy reads it as a uint8 array.
     It is made by libc's ``mmap`` because a ``mmap.mmap`` holds a duplicate
     of the file's descriptor for as long as it lives (before Python 3.13),
-    and a dataset would then hold one descriptor per session."""
+    and kept results would then hold one descriptor per child."""
 
-    def __init__(self, fd: int, offset: int, size: int):
+    def __init__(self, fd: int, size: int):
         import ctypes
 
         libc = _libc()
-        address = libc.mmap(None, size, mmap.PROT_READ, mmap.MAP_SHARED, fd, offset)
+        address = libc.mmap(None, size, mmap.PROT_READ, mmap.MAP_SHARED, fd, 0)
         if address == ctypes.c_void_p(-1).value:  # MAP_FAILED
             errno = ctypes.get_errno()
             raise OSError(errno, os.strerror(errno))
@@ -772,13 +785,3 @@ class _Mapping:
     def __del__(self):
         if hasattr(self, "_unmap"):
             self._unmap()
-
-
-def _mapped(memfd: int, offset: int, sizes: list[int]) -> list[memoryview]:
-    """Read-only views of consecutive buffers of ``sizes`` bytes at
-    ``offset`` of the shared file ``memfd``, all in one mapping that lives
-    as long as any of them; no mapping when they hold no bytes."""
-    total = sum(sizes)
-    view = memoryview(np.asarray(_Mapping(memfd, offset, total)) if total else b"")
-    ends = itertools.accumulate(sizes)
-    return [view[end - size:end] for size, end in zip(sizes, ends)]

@@ -59,13 +59,14 @@ _EXACT_HARD_LIMIT = 64
 # ``pairwise_session_tests`` spreads them over the CPUs: about 20 tests at
 # pooled size 64.  Measured on a 2-vCPU Xeon (Python 3.11, numpy 2.4): one
 # exact test takes 0.16 ms at N = 24, 0.27 ms at 32 and 1.55 ms at 64; a
-# ``_fan_out`` of two trivial units took 4.9 ms from a bare interpreter and
-# 6.1 ms holding a 53 MB heap when the bound was set, and 5.6-6.1 ms and
-# 8.6-10.8 ms in later runs.  Holding that heap, 64-value tests broke even
-# at 10 per call (17 ms inline) and saved 11 ms at 30 and 61 ms at 90
-# (175 ms inline).  From N = 24 to 64 the cost grows more slowly than N**3,
-# so smaller tests must add up to more work than 64-value ones before they
-# fork: the bound forks only where the fork clearly pays.
+# ``_fan_out`` of two trivial units, whose children report through their
+# shared file alone, takes 3.1-4.3 ms from a bare interpreter and 3.1-4.3 ms
+# holding a 53 MB heap (medians of 31, three runs; the host runs in a fast
+# and a slow mode).  Holding that heap, 64-value tests broke even at about
+# 10 per call (12-16 ms inline) and saved 10-22 ms at 30 (35-46 ms inline).
+# From N = 24 to 64 the cost grows more slowly than N**3, so smaller tests
+# must add up to more work than 64-value ones before they fork: the bound
+# forks only where the fork clearly pays.
 _FAN_OUT_COST = 20 * 64 ** 3
 
 # Canonical column order of the pairwise session comparisons.

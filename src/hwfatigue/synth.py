@@ -275,8 +275,11 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     :func:`hwfatigue.data.write_dataset`.
 
     Each recording's ``samples`` is a read-only view of its session's
-    (9, n, 7) block, so one recording kept alive keeps its session's nine
-    arrays alive.
+    (9, n, 7) block.  A block a forked child drew lies in that child's one
+    shared mapping, so one recording kept from it keeps the child's whole
+    file, every session it drew; one kept from the caller's own sessions
+    keeps only its session's nine arrays (see
+    :func:`hwfatigue.data._fan_out`).
     """
     means = _draw_means(TASKS, config.samples_per_recording)
     sessions = _sessions(config)

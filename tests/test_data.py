@@ -758,30 +758,36 @@ class TestFanOut:
             in_worker = pool.apply_async(_dataset_arrays, (config,)).get(timeout=60)
         assert in_worker == _dataset_arrays(config)
 
-    @pytest.mark.parametrize("stage", ["between_opcodes", "inside_data"])
+    @pytest.mark.parametrize("stage", ["between_opcodes", "inside_data", "before_report"])
     def test_child_dying_mid_message_is_an_error(self, processes, monkeypatch, stage):
         # The child exits while it reports chunk 1's outcome: while it
-        # pickles it, before anything reached the shared file or the pipe
-        # (between_opcodes), or once its arrays are in the shared file, part
-        # way through writing its report to the pipe (inside_data), which
-        # leaves the caller a truncated pickle.
+        # pickles it, before anything reached the shared file
+        # (between_opcodes); once its arrays are in the shared file, part
+        # way through writing its report list there (inside_data), which
+        # leaves a truncated pickle; or with status 0 in place of writing
+        # the list (before_report).  Each leaves the file's header zero,
+        # and the header, not the exit code, says whether it reported.
         def fn(chunk):
             if chunk == 0:
                 return None
             array = np.zeros((9, 2000, 7), dtype=np.int64)
             return [array, _ExitWhenPickled()] if stage == "between_opcodes" else array
 
-        def dump_part(report, pipe, **kwargs):
-            pipe.write(pickle.dumps(report, **kwargs)[:-8])
-            pipe.flush()
+        def dump_part(report, shared, **kwargs):
+            shared.write(pickle.dumps(report, **kwargs)[:-8])
+            shared.flush()
             os._exit(5)
 
         if stage == "inside_data":
             monkeypatch.setattr(pickle, "dump", dump_part)
+        if stage == "before_report":
+            monkeypatch.setattr(pickle, "dump", lambda *args, **kwargs: os._exit(0))
         processes(2)
         with pytest.raises(OSError) as exc:
             data._fan_out(fn, [0, 1])
-        assert str(exc.value) == "worker process exited with code 5 before reporting its results"
+        code = 0 if stage == "before_report" else 5
+        assert str(exc.value) == (f"worker process exited with code {code} "
+                                  "before reporting its results")
         assert multiprocessing.active_children() == []
 
     def test_every_chunk_claimed_exactly_once(self, processes, tmp_path):
@@ -953,9 +959,11 @@ class TestFanOut:
         assert [ref() is None for ref in made] == [True] * len(made)
 
     def test_one_kept_recording_keeps_one_mapping(self, root, processes, monkeypatch):
-        # The caller's chunk 0 waits, so that child 1 reads most sessions and
-        # the last it reads lies past the start of its shared file.  The
-        # mapping holds that session alone: nine arrays of 30 samples, in pages.
+        # The caller's chunk 0 waits, so that the children read the other
+        # sessions.  A loaded dataset maps each child's whole shared file
+        # once and none for the caller's sessions; a recording kept from a
+        # child keeps its child's mapping, larger than one session's nine
+        # arrays of 30 samples in pages.
         read = data.read_svc
 
         def slow_first_file(path, device):
@@ -965,17 +973,21 @@ class TestFanOut:
 
         monkeypatch.setattr(data, "read_svc", slow_first_file)
         session_bytes = -(-9 * 30 * 7 * 8 // mmap.PAGESIZE) * mmap.PAGESIZE
-        processes(2)
         before = _shared_mappings()
-        dataset = load_dataset(root)
-        kept = [rec for rec in dataset if _mapping(rec.samples) is not None][-1]
-        assert kept.key > (1, 2, 9)
-        del dataset
-        after = _shared_mappings()
-        assert len(after) == len(before) + 1
-        assert sum(after) - sum(before) == session_bytes
-        del kept
-        assert _shared_mappings() == before
+        for n in (2, 3):
+            processes(n)
+            dataset = load_dataset(root)
+            held = _shared_mappings()
+            assert len(held) == len(before) + n - 1
+            assert all(_mapping(dataset.get(1, 1, t).samples) is None for t in data.TASKS)
+            kept = [rec for rec in dataset if _mapping(rec.samples) is not None][-1]
+            del dataset
+            after = _shared_mappings()
+            assert len(after) == len(before) + 1
+            assert sum(after) - sum(before) in held
+            assert sum(after) - sum(before) > session_bytes
+            del kept
+            assert _shared_mappings() == before
 
     def test_kept_results_hold_no_descriptor(self, processes):
         # Two live datasets of 150 sessions each, made under a soft limit of
