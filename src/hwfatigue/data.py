@@ -24,6 +24,10 @@ Missing files are legal; names :func:`recording_path` does not write are ignored
 :func:`serialize_svc` and :func:`write_dataset` emit one canonical text
 (tokens with no ``+`` and no leading zeros, single spaces, LF line ends),
 formatted by :func:`_svc_bytes` from two tables of five-digit words.
+:func:`read_svc` hands a file's bytes, and :func:`parse_svc` its text's,
+to :func:`_parse_vectorized`, which decodes well-formed text a word at a
+time: each token's value comes from the 8 bytes that end at it.  Any other
+text goes to :func:`_parse_lines`, which reports its first fault.
 
 Every dataset-wide function forks over the CPUs with one subject's session
 as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
@@ -46,14 +50,12 @@ in: a ceiling or saturation level, a recording id, a count, a seed, a flag.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import mmap
 import os
 import pickle
 import re
 import signal
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -77,8 +79,9 @@ COL_ALTITUDE = 5
 COL_PRESSURE = 6
 N_COLUMNS = 7
 
-# The only bytes well-formed SVC text holds once CRLF is folded to LF.
-_SVC_BYTES = b"0123456789+- \t\n"
+# The only bytes well-formed SVC text holds once CRLF is folded to LF, signs aside.
+_DIGITS_AND_BLANKS = b"0123456789 \t\n"
+_HEADER_RE = re.compile(rb"[ \t\n]*([+-]?[0-9]{1,19})[ \t]*\n")
 _TOKEN_RE = re.compile(r"[+-]?[0-9]+")
 _SEPARATOR_RE = re.compile(r"[ \t]+")
 _INT64 = np.iinfo(np.int64)
@@ -306,38 +309,136 @@ def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> 
     separated by spaces or tabs; lines end in LF or CRLF.
     """
     text = source.read() if hasattr(source, "read") else source
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    samples = _parse_vectorized(text)
+    if text.isascii():
+        return _parse_bytes(text.encode("ascii"), device)
+    return _parse_lines(text.replace("\r\n", "\n"), device)  # raises: SVC text is ASCII
+
+
+def _parse_bytes(raw: bytes, device: DeviceProfile) -> np.ndarray:
+    """:func:`parse_svc` of a file's bytes.  A byte outside ASCII raises
+    :class:`UnicodeDecodeError` at its offset in ``raw``."""
+    samples = _parse_vectorized(raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw)
     if samples is None or _sample_fault(samples[None], device.max_level) is not None:
-        samples = _parse_lines(text, device)
+        samples = _parse_lines(raw.decode("ascii").replace("\r\n", "\n"), device)
     return samples
 
 
-def _parse_vectorized(text: str) -> np.ndarray | None:
-    """Parse well-formed SVC text in one pass of numpy's C tokenizer.
+# The decoder's uint64 arithmetic meets only uint64 arrays and np.uint64
+# scalars, so it stays uint64 under numpy 1.x value-based casting and under
+# numpy 2's NEP 50 alike: a signed array would promote it to float64, and a
+# negative Python int would too under numpy 1.x and raise under NEP 50.
+_U64 = np.uint64
+_DIGIT_BITS = _U64(0x1010101010101010)  # set in the digits, clear in "+- \t\n"
+_BYTE_ONES = _U64(0x0101010101010101)
+_NIBBLES = _U64(0x0F0F0F0F0F0F0F0F)
+# Multiply-and-shift steps that join adjacent digit groups, 1 -> 2 -> 4 -> 8 digits.
+_JOIN_STEPS = ((_U64(1 << 8 | 10), _U64(8), _U64(0x00FF00FF00FF00FF)),
+               (_U64(1 << 16 | 100), _U64(16), _U64(0x0000FFFF0000FFFF)),
+               (_U64(1 << 32 | 10**4), _U64(32), _U64(0x00000000FFFFFFFF)))
+_INT64_MAX_U = _U64(2**63 - 1)
+
+
+def _parse_vectorized(raw: bytes) -> np.ndarray | None:
+    """Decode well-formed SVC text, CRLF folded to LF, a word at a time.
+
+    One mask of the bytes at or above ``+`` (the digits and signs) gives
+    every token's last byte.  The grammar is checked as counts: the bytes
+    are digits, signs and ``" \\t\\n"``; the header line holds one token;
+    the body holds seven tokens per declared sample, with an LF between
+    each row and the one before and none inside a row; every sign starts a
+    token and is followed by a digit.  Each token's value comes from the
+    8-byte window of the text that ends at its last byte
+    (:func:`_window_values`), with a second window for tokens of 9 to 16
+    digits and a third for 17 to 23.  The result is a fresh array of
+    exactly the samples.
 
     Returns None, instead of locating the fault, whenever the text is not
-    plainly well formed: a byte outside the grammar, a bad header, a token
-    loadtxt rejects (int64 overflow included) or a count mismatch.
+    plainly well formed: a byte outside the grammar, a bad header or row, a
+    token of 24 digits or more or outside int64, or a count mismatch.
     """
-    if not text.isascii() or text.encode("ascii").translate(None, _SVC_BYTES):
+    rest = raw.translate(None, _DIGITS_AND_BLANKS)
+    header = _HEADER_RE.match(raw)
+    if rest.translate(None, b"+-") or header is None or int(header[1]) < 1:
         return None
-    head, _, body = text.lstrip(" \t\n").partition("\n")
-    try:
-        declared = int(head)
-    except ValueError:
+    declared = int(header[1])
+    n_signs = len(rest) - (header[1][0] < ord("0"))  # the body's
+    lf = header.end() - 1  # the body starts at the header's LF
+    body = np.frombuffer(raw, np.uint8, offset=lf)
+    token = body >= ord("+")  # the digits and signs; " \t\n" lie below
+    ends = np.flatnonzero(token[:-1] > token[1:])  # each token's last byte
+    if token[-1]:
+        ends = np.append(ends, len(body) - 1)
+    if len(ends) != N_COLUMNS * declared:
         return None
-    if not body or body.isspace():  # the byte set leaves only " \t\n" to count as space
+    rows = ends.reshape(declared, N_COLUMNS)
+    newlines = np.flatnonzero(body == ord("\n"))
+    if len(newlines) > declared + 1:  # blank lines: keep the LFs that end the header or a row
+        newlines = newlines[np.diff(np.searchsorted(ends, newlines), prepend=-1) > 0]
+    if not (declared <= len(newlines) <= declared + 1
+            and (newlines[:declared] < rows[:, 0]).all()
+            and (rows[:len(newlines) - 1, -1] < newlines[1:]).all()):
         return None
-    try:
-        with warnings.catch_warnings():
-            # Older numpy parses an int64 overflow via float and only warns.
-            warnings.simplefilter("error", DeprecationWarning)
-            samples = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):
-        return None
-    return samples if samples.shape == (declared, N_COLUMNS) else None
+    negative = None
+    if n_signs:
+        starts = np.flatnonzero(token[1:] > token[:-1]) + 1
+        first = body[starts]
+        signed = first < ord("0")
+        if np.count_nonzero(signed) != n_signs or (starts[signed] == ends[signed]).any():
+            return None
+        negative = first == ord("-")
+    ends += lf - 7  # now where each token's 8-byte window starts in raw
+    values, full = _window_values(raw, ends)
+    if len(full):  # tokens of eight digits or more: add the digits in front
+        more, full_more = _window_values(raw, ends[full] - 8)
+        values[full] += more * _U64(10**8)
+        full = full[full_more]
+    if len(full):  # sixteen or more
+        more, full_more = _window_values(raw, ends[full] - 16)
+        if len(full_more) or more.max() > 922:  # 24 digits or more, or far beyond int64
+            return None
+        values[full] += more * _U64(10**16)
+        limit = _INT64_MAX_U if negative is None else _INT64_MAX_U + negative[full]
+        if (values[full] > limit).any():  # 2**63 fits int64 as -2**63 alone
+            return None
+    if negative is not None:
+        np.negative(values, out=values, where=negative)
+    return values.view(np.int64).reshape(declared, N_COLUMNS)
+
+
+def _window_values(raw: bytes, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each 8-byte window ``raw[s:s + 8]`` of ``starts`` (sorted; bytes
+    before ``raw`` read as spaces), the value of the digits that end it as
+    uint64 (0 when its last byte is not a digit), and the indices of the
+    windows that are all digits.
+
+    Each window is read big-endian, so its last byte is the lowest.  The
+    0x10 bit is set in the digits and clear in ``"+- \\t\\n"``; one multiply
+    adds the clear bits of every byte into each byte above it, which marks
+    every byte from the last non-digit up, and the marked bytes are
+    cleared.  Three multiply-and-shift steps (:data:`_JOIN_STEPS`) then
+    join the digits left, 1 -> 2 -> 4 -> 8 to a number."""
+    view = np.ndarray((len(raw) - 7,), "<u8", raw, 0, (1,))  # element i: raw[i:i + 8]
+    # Indexing reads each window where it lies; take() would first copy the
+    # unaligned view whole, eight times the text.
+    words = view[starts]
+    words.byteswap(inplace=True)  # in place: a second array of words costs page faults
+    for i in range(np.searchsorted(starts, 0)):
+        words[i] = int.from_bytes(raw[:starts[i] + 8].rjust(8, b" "), "big")
+    keep = np.invert(words)
+    keep &= _DIGIT_BITS  # 0x10 in each byte that is not a digit
+    keep *= _BYTE_ONES  # 0x10 times the non-digits at or below each byte
+    keep += _U64(0x7070707070707070)
+    keep &= _U64(0x8080808080808080)  # 0x80 from the last non-digit up
+    keep >>= _U64(7)
+    keep *= _U64(0x0F)
+    keep ^= _NIBBLES  # 0x0F in each digit below the last non-digit
+    full = np.flatnonzero(keep >= _U64(0x0F << 56))
+    words &= keep
+    for multiplier, shift, mask in _JOIN_STEPS:
+        words *= multiplier
+        words >>= shift
+        words &= mask
+    return words, full
 
 
 def _parse_lines(text: str, device: DeviceProfile) -> np.ndarray:
@@ -410,12 +511,13 @@ def _int64(token: str) -> int | None:
 def read_svc(path: Path | str, device: DeviceProfile = DeviceProfile()) -> np.ndarray:
     """Read and parse one SVC file; every error names ``path``.
 
-    The file is decoded as ASCII here, so a non-ASCII byte is reported as a
-    :class:`SvcParseError` with the path and line rather than a decode error.
+    The file's bytes go to the decoder as they are; a byte outside ASCII is
+    reported as a :class:`SvcParseError` with the path and line rather than
+    a decode error.
     """
     raw = Path(path).read_bytes()
     try:
-        return parse_svc(raw.decode("ascii"), device)
+        return _parse_bytes(raw, device)
     except UnicodeDecodeError as err:
         raise SvcParseError(f"non-ASCII byte 0x{raw[err.start]:02x}",
                             line=raw.count(b"\n", 0, err.start) + 1,

@@ -190,13 +190,14 @@ def _split_blanks(line: str) -> list[str]:
     return tokens
 
 
-def parse_svc_by_lines(text: str, max_level: int) -> list[list[int]]:
+def parse_svc_by_lines(text: str, max_level: int | None) -> list[list[int]]:
     """Reference SVC parser: one loop over the lines, checking each line
     completely (columns, tokens, int64 range, pen status, pressure, a
     timestamp not below the previous row's) before the next.  The header
     declares at least one sample.  A CR is part of a line ending only
     directly before an LF; lines holding only spaces and tabs are blank and
-    skipped."""
+    skipped.  ``max_level=None`` checks the text alone: no pen status,
+    pressure or timestamp."""
     lines = text.split("\n")
     numbered = []
     for i, line in enumerate(lines, start=1):
@@ -216,8 +217,9 @@ def parse_svc_by_lines(text: str, max_level: int) -> list[list[int]]:
         values = [_ascii_int(t) for t in tokens]
         if (len(values) != 7 or None in values
                 or any(not _INT64_MIN <= v <= _INT64_MAX for v in values)
-                or values[3] not in (0, 1) or not 0 <= values[6] <= max_level
-                or (rows and values[2] < rows[-1][2])):
+                or max_level is not None and (
+                    values[3] not in (0, 1) or not 0 <= values[6] <= max_level
+                    or (rows and values[2] < rows[-1][2]))):
             raise SvcReject(line_no)
         rows.append(values)
     return rows

@@ -317,6 +317,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("content, message", [
         (b"1\n99999999999999999999 2 3 1 0 0 5\n", ":2: integer out of range"),
         (b"1\n1 2 3 1 0 0 \xff5\n", ":2: non-ASCII byte 0xff"),
+        (b"2\r\n1 2 3 1 0 0 5\r\n1 2 3 1 0 0 \xe95\r\n", ":3: non-ASCII byte 0xe9"),
         (b"1\n1_0 2 3 1 0 0 5\n", ":2: non-integer token '1_0'"),
     ])
     def test_malformed_token_reports_location(self, dataset_dir, tmp_path, capsys,

@@ -22,6 +22,15 @@ from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
 from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording, write_synthetic
 
 VALID_TEXT = "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023\n"
+# Other spellings of VALID_TEXT's samples.
+VALID_VARIANTS = [
+    "2\n+10 +20 -0 +1 0 0 +500\n11 21 10 1 0 0 1023\n",
+    "2\n10\t20\t0\t1\t0\t0\t500\n\t11  21 10 1 0\t 0 1023 \n",
+    "2\r\n10 20 0 1 0 0 500\r\n11 21 10 1 0 0 1023\r\n",
+    "\n 2\n\n10 20 0 1 0 0 500\n \t\n11 21 10 1 0 0 1023\n\n",
+    "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023",
+]
+INT64_LIMITS_TEXT = "1\n9223372036854775807 -9223372036854775808 0 1 0 0 5\n"
 INT64_MAX = 2**63 - 1
 INT64 = st.integers(-2**63, INT64_MAX)
 
@@ -114,7 +123,7 @@ class TestParseSvc:
     @pytest.mark.parametrize("text, line", [
         ("3", 1), ("3\n", 1), ("\n\n3\n", 3), ("3\n\n \t\n\t\n", 1), (" 3 \r\n \r\n\n", 1)])
     def test_header_without_data_lines(self, text, line, tmp_path):
-        assert data._parse_vectorized(text.replace("\r\n", "\n")) is None
+        assert data._parse_vectorized(text.replace("\r\n", "\n").encode()) is None
         path = tmp_path / "task1.svc"
         path.write_text(text, newline="")
         for parse, where in ((lambda: parse_svc(text), ""), (lambda: read_svc(path), f"{path}:")):
@@ -129,8 +138,7 @@ class TestParseSvc:
             parse_svc("2\n10 20 0 1 0 0 500\n10 20 5 1 0 0 9999\n")
 
     def test_int64_limits_accepted(self):
-        text = "1\n9223372036854775807 -9223372036854775808 0 1 0 0 5\n"
-        assert parse_svc(text)[0, :2].tolist() == [2**63 - 1, -2**63]
+        assert parse_svc(INT64_LIMITS_TEXT)[0, :2].tolist() == [2**63 - 1, -2**63]
 
     def test_overlong_tokens_are_located(self):
         # longer than Python's int() digit limit
@@ -163,13 +171,7 @@ class TestParseSvc:
             parse_svc("\n\u0661\n10 20 0 1 0 0 500\n")
         assert exc.value.line == 2
 
-    @pytest.mark.parametrize("text", [
-        "2\n+10 +20 -0 +1 0 0 +500\n11 21 10 1 0 0 1023\n",
-        "2\n10\t20\t0\t1\t0\t0\t500\n\t11  21 10 1 0\t 0 1023 \n",
-        "2\r\n10 20 0 1 0 0 500\r\n11 21 10 1 0 0 1023\r\n",
-        "\n 2\n\n10 20 0 1 0 0 500\n \t\n11 21 10 1 0 0 1023\n\n",
-        "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023",
-    ])
+    @pytest.mark.parametrize("text", VALID_VARIANTS)
     def test_accepts_signs_tabs_crlf_and_blank_lines(self, text):
         assert np.array_equal(parse_svc(text), parse_svc(VALID_TEXT))
 
@@ -199,6 +201,15 @@ class TestParseSvc:
         with pytest.raises(SvcParseError, match="timestamp 20 follows 30") as exc:
             parse_svc(text)
         assert exc.value.line == 3
+
+    def test_returned_array_holds_only_its_samples(self, tmp_path):
+        # A view of a larger work buffer would keep each file's text, or
+        # the decoder's scratch, alive in a loaded dataset.
+        path = tmp_path / "task1.svc"
+        path.write_text(VALID_TEXT)
+        slow = "0" * 5000 + "2\n" + VALID_TEXT.partition("\n")[2]  # decoded line by line
+        for samples in [read_svc(path), *map(parse_svc, [VALID_TEXT, *VALID_VARIANTS, slow])]:
+            assert samples.base is None or memoryview(samples.base).nbytes <= samples.nbytes + 8
 
     def test_equal_timestamps_accepted(self):
         assert parse_svc("2\n1 2 30 1 0 0 5\n1 2 30 1 0 0 5\n").shape == (2, 7)
@@ -267,6 +278,65 @@ class TestParseSvcAgainstReference:
         else:
             got = parse_svc(text)
             assert got.dtype == np.int64
+            assert np.array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 7))
+
+
+def _decoded(text: str):
+    """``data._parse_vectorized`` of ``text`` as ``parse_svc`` hands it over."""
+    return data._parse_vectorized(text.replace("\r\n", "\n").encode())
+
+
+class TestDecoder:
+    """The word-at-a-time decoder alone: the exact samples of plainly well
+    formed text, or None for ``_parse_lines`` to locate the fault."""
+
+    @pytest.mark.parametrize("text", [
+        VALID_TEXT, *VALID_VARIANTS, INT64_LIMITS_TEXT,
+        "1\n1 2 3 1 0 0 5",  # windows that start before the text
+        "1\n-000000000000000000001 +12345678 123456789 1 -1234567890123456 "
+        "12345678901234567 0009223372036854775807\n",
+    ])
+    def test_reads_well_formed_text(self, text):
+        got = _decoded(text)
+        assert got is not None and got.dtype == np.int64
+        expected = np.array(oracles.parse_svc_by_lines(text, None), dtype=np.int64)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("token", [
+        "9223372036854775808", "+9223372036854775808", "-9223372036854775809",
+        "99999999999999999999", "9" * 5000, "0" * 5000 + "1", "0" * 23 + "1"])
+    def test_none_beyond_int64_and_for_long_tokens(self, token):
+        assert _decoded(f"1\n{token} 2 3 1 0 0 5\n") is None
+        assert _decoded(f"{token}\n1 2 3 1 0 0 5\n") is None
+
+    @pytest.mark.parametrize("text", [
+        "2\n1 2 3 1 0 0 5 1 2 3 1 0 0 5\n",
+        "2\n1 2 3 1 0 0 5 1 2 3 1 0 0 5\n\n",
+        "2\n1 2 3 1 0 0\n5 1 2 3 1 0 0 5\n",
+        "1\n1 2 3\n1 0 0 5\n",
+        "1\n1 2 3\n\n1 0 0 5\n\n",
+        "1 1 2 3 1 0 0 5\n",
+        "1\n1 2 3 1 0 0 5 +\n",
+        "1\n1 2 3 1 0 0 5-\n",
+    ])
+    def test_none_unless_seven_tokens_a_line(self, text):
+        assert _decoded(text) is None
+        with pytest.raises(SvcParseError):
+            parse_svc(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(INT64, min_size=7, max_size=7), st.data())
+    def test_every_int64_spelling(self, row, draw):
+        tokens = [("-" if v < 0 else draw.draw(st.sampled_from(["", "+"])))
+                  + "0" * draw.draw(st.integers(0, 3)) + str(abs(v)) for v in row]
+        assert _decoded("1\n" + " ".join(tokens) + "\n").tolist() == [row]
+
+    @settings(max_examples=400, deadline=None)
+    @given(svc_texts())
+    def test_none_or_the_reference_array(self, text):
+        got = _decoded(text)
+        if got is not None:
+            expected = oracles.parse_svc_by_lines(text, None)
             assert np.array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 7))
 
 
