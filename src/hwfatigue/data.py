@@ -136,6 +136,12 @@ class DeviceProfile:
                            _int_in("max_level", self.max_level, 1, MAX_PRESSURE_LEVEL))
 
 
+def _check_device(device) -> None:
+    """ValueError naming ``device`` unless it is a :class:`DeviceProfile`."""
+    if not isinstance(device, DeviceProfile):
+        raise ValueError(f"device must be a DeviceProfile, got {device!r}")
+
+
 @dataclass(frozen=True)
 class Recording:
     """Ordered sample stream for one (subject, session, task) triple.
@@ -157,13 +163,14 @@ class Recording:
         for name, high in (("subject_id", None), ("session_id", SESSIONS[-1]),
                            ("task_id", TASKS[-1])):
             object.__setattr__(self, name, _int_in(name, getattr(self, name), 1, high))
+        _check_device(self.device)
         arr = _checked_rows(self.samples, self.device.max_level, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
     def __reduce__(self):
-        # The sending process checked the key and array; unpickling only
-        # freezes the array again (pickle would otherwise restore a writable one).
+        # Only a user's pickle comes here.  The key and array were checked when built;
+        # unpickling only freezes the array again, which pickle would restore writable.
         return _recording, (*self.key, self.samples, self.device)
 
     @property
@@ -613,19 +620,21 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
     line; with several malformed files it is the first in walk order.
     Session directories are read in parallel (see the module docstring).
 
-    The sessions a forked child read come back as read-only views of one
-    mapping of its shared file, as with
-    :func:`hwfatigue.synth.generate_dataset`: one recording kept from a
-    child keeps every session that child read, until the last of them is
-    dropped, and one kept from the caller's own sessions keeps only its own
-    array (see :func:`_fan_out`).
+    Each process parses its sessions' files; the caller wraps the arrays as
+    recordings that share ``device``, as with
+    :func:`hwfatigue.synth.generate_dataset`.  A forked child's arrays come
+    back as read-only views of one mapping of its shared file: one recording
+    kept from a child keeps every session that child read, until the last
+    of them is dropped, and one kept from the caller's own sessions keeps
+    only its own array (see :func:`_fan_out`).
     """
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root is not a directory: {root}")
-    sessions = _fan_out(functools.partial(_read_session, device=device),
-                        _session_files(root))
-    return Dataset(recording for session in sessions for recording in session)
+    sessions = _session_files(root)
+    arrays = _fan_out(functools.partial(_read_session, device=device), sessions)
+    return Dataset(_recording(*key, samples, device) for files, session in zip(sessions, arrays)
+                   for (key, _), samples in zip(files, session))
 
 
 def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
@@ -651,8 +660,9 @@ def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
 
 
 def _read_session(files: list[tuple[tuple[int, int, int], Path]],
-                  device: DeviceProfile) -> list[Recording]:
-    return [_recording(*key, read_svc(path, device), device) for key, path in files]
+                  device: DeviceProfile) -> list[np.ndarray]:
+    """:func:`read_svc` of each file of one session, in order: checked arrays."""
+    return [read_svc(path, device) for _, path in files]
 
 
 def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:

@@ -59,11 +59,6 @@ class SessionTaskSummary:
     mean: float | None
     std: float | None
 
-    @classmethod
-    def from_values(cls, task_id: int, session_id: int, values) -> "SessionTaskSummary":
-        key = (task_id, session_id)
-        return _summaries({key: [float(v) for v in values]})[key]
-
 
 def _summaries(collected: dict[tuple[int, int], list[float]]
                ) -> dict[tuple[int, int], SessionTaskSummary]:

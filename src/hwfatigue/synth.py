@@ -46,8 +46,8 @@ import numpy as np
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
                    COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS,
-                   _check_subject_ids, _fan_out, _int_in, _recording, _sample_fault,
-                   _write_session)
+                   _check_device, _check_subject_ids, _fan_out, _int_in, _recording,
+                   _sample_fault, _write_session)
 
 _PRESSURE_MEAN = 600.0
 _PRESSURE_SD = 150.0
@@ -93,6 +93,7 @@ class SynthConfig:
         for name, ids in (("fatigue_sessions", SESSIONS), ("high_variation_tasks", TASKS)):
             object.__setattr__(self, name, frozenset(_int_in(name, i, ids[0], ids[-1])
                                                      for i in getattr(self, name)))
+        _check_device(self.device)
         for name in ("base_saturation", "fatigue_multiplier"):
             object.__setattr__(self, name, _per_task(name, getattr(self, name)))
         for task in TASKS:
@@ -238,23 +239,16 @@ def _generate_samples(config: SynthConfig, subject_id: int, session_id: int,
 
 def _checked_samples(config: SynthConfig, means: np.ndarray, task_ids,
                      session: tuple[int, int]) -> np.ndarray:
-    """``_generate_samples`` for one subject's session, checked in one pass;
-    a fault names the subject, session, task and sample."""
+    """``_generate_samples`` for one subject's session, checked in one pass
+    and frozen; a fault names the subject, session, task and sample."""
     subject_id, session_id = session
     block = _generate_samples(config, subject_id, session_id, task_ids, means)
     fault = _sample_fault(block, config.device.max_level)
     if fault is not None:
         raise ValueError(f"subject {subject_id}, session {session_id}, "
                          f"task {task_ids[fault[0]]}: sample {fault[1]}: {fault[2]}")
-    return block
-
-
-def _session_recordings(config: SynthConfig, task_ids, session: tuple[int, int],
-                        block: np.ndarray) -> list[Recording]:
-    """Freeze a checked block and wrap its rows, read-only views, as recordings."""
     block.setflags(write=False)
-    return [_recording(*session, task_id, samples, config.device)
-            for task_id, samples in zip(task_ids, block)]
+    return block
 
 
 def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
@@ -264,9 +258,8 @@ def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
     session_id = _int_in("session_id", session_id, SESSIONS[0], SESSIONS[-1])
     task_id = _int_in("task_id", task_id, TASKS[0], TASKS[-1])
     means = _draw_means((task_id,), config.samples_per_recording)
-    session = (subject_id, session_id)
-    block = _checked_samples(config, means, (task_id,), session)
-    return _session_recordings(config, (task_id,), session, block)[0]
+    block = _checked_samples(config, means, (task_id,), (subject_id, session_id))
+    return _recording(subject_id, session_id, task_id, block[0], config.device)
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
@@ -284,8 +277,9 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     means = _draw_means(TASKS, config.samples_per_recording)
     sessions = _sessions(config)
     blocks = _fan_out(functools.partial(_checked_samples, config, means, TASKS), sessions)
-    return Dataset(recording for session, block in zip(sessions, blocks)
-                   for recording in _session_recordings(config, TASKS, session, block))
+    return Dataset(_recording(*session, task_id, samples, config.device)
+                   for session, block in zip(sessions, blocks)
+                   for task_id, samples in zip(TASKS, block))
 
 
 def write_synthetic(config: SynthConfig, root: Path | str) -> list[Path]:

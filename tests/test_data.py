@@ -1,3 +1,5 @@
+import errno
+import gc
 import io
 import json
 import mmap
@@ -6,6 +8,7 @@ import os
 import pickle
 import re
 import resource
+import sys
 import time
 import weakref
 
@@ -15,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import shared_file_descriptors
 from hwfatigue import cli, data, synth
 from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
                             SvcParseError, load_dataset, parse_svc, read_svc,
@@ -556,6 +560,11 @@ class TestRecording:
         assert rec.key == (2, 3, 4)
         assert all(type(i) is int for i in rec.key)
 
+    @pytest.mark.parametrize("device", [1023, None])
+    def test_device_must_be_a_profile(self, device):
+        with pytest.raises(ValueError, match=f"^device must be a DeviceProfile, got {device}$"):
+            make_recording(device=device)
+
 
 class TestDataset:
     def test_duplicate_key_guarded(self):
@@ -726,17 +735,6 @@ def _shared_mappings():
                 start, end = line.split()[0].split("-")
                 sizes.append(int(end, 16) - int(start, 16))
     return sizes
-
-
-def _shared_file_descriptors():
-    """Descriptors of the package's shared files open in this process."""
-    links = []
-    for fd in os.listdir("/proc/self/fd"):
-        try:
-            links.append(os.readlink(f"/proc/self/fd/{fd}"))
-        except FileNotFoundError:  # the one listdir opened, closed since
-            pass
-    return [link for link in links if "memfd:hwfatigue" in link]
 
 
 class TestFanOut:
@@ -934,8 +932,9 @@ class TestFanOut:
         config = SynthConfig(n_subjects=2, samples_per_recording=20, seed=9)
         expected = write_dataset(generate_dataset(config), tmp_path / "split")
         processes(1)
-        monkeypatch.setattr(synth, "_session_recordings",
-                            lambda *args: pytest.fail("write_synthetic built a Recording"))
+        for module in (data, synth):
+            monkeypatch.setattr(module, "_recording",
+                                lambda *args: pytest.fail("write_synthetic built a Recording"))
         written = write_synthetic(config, tmp_path / "direct")
         assert [p.relative_to(tmp_path / "direct") for p in written] == [
             p.relative_to(tmp_path / "split") for p in expected]
@@ -979,7 +978,16 @@ class TestFanOut:
                 assert all(_mapping(ds.get(1, 1, t).samples) is None for t in data.TASKS)
                 assert len({id(_mapping(ds.get(1, 2, t).samples)) for t in data.TASKS}) == 1
                 assert isinstance(_mapping(ds.get(1, 2, 1).samples), data._Mapping)
-                assert _shared_file_descriptors() == []
+                assert shared_file_descriptors() == []
+
+    def test_recordings_share_the_callers_device(self, root, processes):
+        device = DeviceProfile()
+        config = SynthConfig(n_subjects=3, samples_per_recording=30, seed=9, device=device)
+        for n in PROCESS_COUNTS:
+            processes(n)
+            for ds in (load_dataset(root, device), generate_dataset(config)):
+                assert len(ds) == 135
+                assert all(rec.device is device for rec in ds)
 
     @pytest.mark.parametrize("ending", ["success", "failing_chunk", "dying_child", "interrupt",
                                         "start_fails"])
@@ -1073,6 +1081,24 @@ class TestFanOut:
             resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
         assert [len(ds) for ds in datasets] == [30 * 45] * 2
         assert sum(_mapping(rec.samples) is not None for rec in datasets[1]) > 9 * 32
+
+    def test_mapping_a_pipe_fails_and_maps_nothing(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(OSError) as exc:
+                data._Mapping(read_end, mmap.PAGESIZE)
+            assert exc.value.errno == errno.ENODEV
+            del exc  # its traceback keeps the half-built _Mapping, whose __del__ must not fail
+            gc.collect()
+            pipe = f"pipe:[{os.fstat(read_end).st_ino}]"
+            with open("/proc/self/maps") as maps:
+                assert not any(pipe in line for line in maps)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert unraisable == []
 
     def test_runs_inline_without_memfd(self, monkeypatch):
         monkeypatch.delattr(os, "memfd_create")

@@ -15,9 +15,9 @@ from hwfatigue import cli, features, report
 from hwfatigue.cli import analyze_dataset
 from hwfatigue.data import SESSIONS, TASKS, Dataset, DeviceProfile
 from hwfatigue.features import FEATURES, extract_features
-from hwfatigue.report import (FeatureGrid, SessionTaskSummary, aggregate,
-                              render_fig_data_csv, render_fig_data_json, render_table1_csv,
-                              render_table1_json, render_table2_csv, render_table2_json)
+from hwfatigue.report import (FeatureGrid, aggregate, render_fig_data_csv, render_fig_data_json,
+                              render_table1_csv, render_table1_json, render_table2_csv,
+                              render_table2_json)
 from hwfatigue.stats import SESSION_PAIRS, TestResult, pairwise_session_tests
 from hwfatigue.synth import SynthConfig, generate_dataset
 
@@ -77,24 +77,24 @@ def summary_bits(values, n, mean, std):
 
 class TestSessionTaskSummary:
     def test_known_values(self):
-        s = SessionTaskSummary.from_values(1, 1, [100, 200, 300])
+        s = report._summaries({(1, 1): [100.0, 200.0, 300.0]})[(1, 1)]
         assert s.mean == 200.0
         assert s.std == 100.0
         assert s.n == 3
         assert s.values == (100.0, 200.0, 300.0)
 
     def test_sample_std_uses_n_minus_one(self):
-        s = SessionTaskSummary.from_values(1, 1, [0.0, 2.0])
+        s = report._summaries({(1, 1): [0.0, 2.0]})[(1, 1)]
         assert s.std == pytest.approx(math.sqrt(2.0))
 
     def test_single_value(self):
-        s = SessionTaskSummary.from_values(2, 3, [7.5])
+        s = report._summaries({(2, 3): [7.5]})[(2, 3)]
         assert s.mean == 7.5
         assert s.std is None
         assert s.n == 1
 
     def test_empty_cell(self):
-        s = SessionTaskSummary.from_values(2, 3, [])
+        s = report._summaries({(2, 3): []})[(2, 3)]
         assert s.mean is None
         assert s.std is None
         assert s.n == 0
@@ -102,7 +102,7 @@ class TestSessionTaskSummary:
     def test_mean_matches_summation_oracle(self):
         rng = np.random.default_rng(40)
         values = rng.normal(500, 100, 21).tolist()
-        s = SessionTaskSummary.from_values(1, 1, values)
+        s = report._summaries({(1, 1): values})[(1, 1)]
         assert s.mean == pytest.approx(mean_by_summation(values), rel=1e-12)
 
 
@@ -163,7 +163,7 @@ class TestAggregate:
             for key, cell in grid.cells.items():
                 want = summary_bits(*expected[key])
                 assert summary_bits(cell.values, cell.n, cell.mean, cell.std) == want
-                alone = SessionTaskSummary.from_values(*key, expected[key][0])
+                alone = report._summaries({key: expected[key][0]})[key]
                 assert summary_bits(alone.values, alone.n, alone.mean, alone.std) == want
             for recording in dataset:
                 assert (getattr(extract_features(recording), feature).hex()

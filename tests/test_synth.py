@@ -53,6 +53,12 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match=r"exceeds 1"):
             SynthConfig(base_saturation=0.3, fatigue_multiplier=5.0)
 
+    @pytest.mark.parametrize("device", [None, 1023])
+    def test_device_must_be_a_profile(self, device):
+        # Refused when stored, not at the first to_json_dict or generate_dataset.
+        with pytest.raises(ValueError, match=f"^device must be a DeviceProfile, got {device}$"):
+            SynthConfig(device=device)
+
     def test_rejects_unknown_sessions_and_tasks(self):
         with pytest.raises(ValueError, match="fatigue_sessions"):
             SynthConfig(fatigue_sessions=frozenset({4, 6}))
