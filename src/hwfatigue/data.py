@@ -35,7 +35,10 @@ as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
 :func:`hwfatigue.synth.write_synthetic`; :func:`_fan_out` says how.  The
 results of a child reach the caller through one shared file that the
 caller maps once: a result kept from a child keeps that child's whole file,
-and a result of the caller's own units keeps only its own arrays.
+and a result of the caller's own units keeps only its own arrays.  A unit
+that builds recordings also computes their features
+(:func:`_pressure_features`) while it holds their samples, so
+:func:`hwfatigue.report.aggregate` reads no sample array.
 
 One function, :func:`_sample_fault`, checks every sample array, and every
 array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
@@ -150,7 +153,8 @@ class Recording:
     properties below expose read-only column views.  The array is frozen at
     construction so recordings can be shared across threads.  The ids are
     integers: ``subject_id`` at least 1, ``session_id`` in :data:`SESSIONS`
-    and ``task_id`` in :data:`TASKS`.
+    and ``task_id`` in :data:`TASKS`.  Its features (:func:`_pressure_features`)
+    are computed once, when it is built, and kept in a private attribute.
     """
 
     subject_id: int
@@ -167,10 +171,12 @@ class Recording:
         arr = _checked_rows(self.samples, self.device.max_level, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "_features", _features_of(arr, self.device))
 
     def __reduce__(self):
         # Only a user's pickle comes here.  The key and array were checked when built;
-        # unpickling only freezes the array again, which pickle would restore writable.
+        # unpickling freezes the array again, which pickle would restore writable,
+        # and computes the features again.
         return _recording, (*self.key, self.samples, self.device)
 
     @property
@@ -289,15 +295,37 @@ def _sample_fault(block: np.ndarray, max_level: int) -> tuple[int, int, str] | N
 
 
 def _recording(subject_id: int, session_id: int, task_id: int, samples: np.ndarray,
-               device: DeviceProfile) -> Recording:
+               device: DeviceProfile, features: dict[str, float] | None = None) -> Recording:
     """Private constructor for a key from the layout's name maps, the generation
     loops or an existing recording, and an (N, 7) int64 array that has passed
-    :func:`_sample_fault`: freezes ``samples`` in place, checks nothing."""
+    :func:`_sample_fault`: freezes ``samples`` in place, checks nothing.
+    ``features`` are those :func:`_pressure_features` gave for ``samples``
+    under ``device``; they are computed here when not given."""
+    if features is None:
+        features = _features_of(samples, device)
     recording = object.__new__(Recording)
     vars(recording).update(subject_id=subject_id, session_id=session_id, task_id=task_id,
-                           samples=samples, device=device)
+                           samples=samples, device=device, _features=features)
     samples.setflags(write=False)
     return recording
+
+
+def _pressure_features(pressures, device: DeviceProfile) -> list[dict[str, float]]:
+    """Every feature of :data:`hwfatigue.features.FEATURES` for each of the k
+    equally long rows of ``pressures``, under ``device``'s ceiling: one
+    :func:`hwfatigue.features.feature_of_rows` call per feature, and one dict
+    per row mapping each feature's name to its value."""
+    from . import features  # here, not at the top: features imports this module
+
+    levels = [device.max_level] * len(pressures)
+    columns = [features.feature_of_rows(name, pressures, levels).tolist()
+               for name in features.FEATURES]
+    return [dict(zip(features.FEATURES, row)) for row in zip(*columns)]
+
+
+def _features_of(samples: np.ndarray, device: DeviceProfile) -> dict[str, float]:
+    """:func:`_pressure_features` of one recording's ``samples``."""
+    return _pressure_features(samples[None, :, COL_PRESSURE], device)[0]
 
 
 def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> np.ndarray:
@@ -313,8 +341,10 @@ def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> 
     those ``Recording(...)`` accepts.
 
     Blank lines are ignored (the canonical writer emits none).  Tokens are
-    separated by spaces or tabs; lines end in LF or CRLF.
+    separated by spaces or tabs; lines end in LF or CRLF.  ValueError unless
+    ``device`` is a :class:`DeviceProfile`.
     """
+    _check_device(device)
     text = source.read() if hasattr(source, "read") else source
     if text.isascii():
         return _parse_bytes(text.encode("ascii"), device)
@@ -520,8 +550,10 @@ def read_svc(path: Path | str, device: DeviceProfile = DeviceProfile()) -> np.nd
 
     The file's bytes go to the decoder as they are; a byte outside ASCII is
     reported as a :class:`SvcParseError` with the path and line rather than
-    a decode error.
+    a decode error.  ValueError before any reading unless ``device`` is a
+    :class:`DeviceProfile`.
     """
+    _check_device(device)
     raw = Path(path).read_bytes()
     try:
         return _parse_bytes(raw, device)
@@ -620,21 +652,26 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
     line; with several malformed files it is the first in walk order.
     Session directories are read in parallel (see the module docstring).
 
-    Each process parses its sessions' files; the caller wraps the arrays as
-    recordings that share ``device``, as with
-    :func:`hwfatigue.synth.generate_dataset`.  A forked child's arrays come
-    back as read-only views of one mapping of its shared file: one recording
-    kept from a child keeps every session that child read, until the last
-    of them is dropped, and one kept from the caller's own sessions keeps
-    only its own array (see :func:`_fan_out`).
+    Each process parses its sessions' files and computes each recording's
+    features while it holds the arrays (:func:`_read_session`); the caller
+    wraps the arrays and features as recordings that share ``device``, as
+    with :func:`hwfatigue.synth.generate_dataset`, and
+    :func:`hwfatigue.report.aggregate` later reads the features alone.  A
+    forked child's arrays come back as read-only views of one mapping of its
+    shared file: one recording kept from a child keeps every session that
+    child read, until the last of them is dropped, and one kept from the
+    caller's own sessions keeps only its own array (see :func:`_fan_out`).
+    ValueError before the walk unless ``device`` is a :class:`DeviceProfile`.
     """
+    _check_device(device)
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root is not a directory: {root}")
     sessions = _session_files(root)
-    arrays = _fan_out(functools.partial(_read_session, device=device), sessions)
-    return Dataset(_recording(*key, samples, device) for files, session in zip(sessions, arrays)
-                   for (key, _), samples in zip(files, session))
+    read = _fan_out(functools.partial(_read_session, device=device), sessions)
+    return Dataset(_recording(*key, samples, device, values)
+                   for files, (arrays, session_values) in zip(sessions, read)
+                   for (key, _), samples, values in zip(files, arrays, session_values))
 
 
 def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
@@ -659,10 +696,19 @@ def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
     return sessions
 
 
-def _read_session(files: list[tuple[tuple[int, int, int], Path]],
-                  device: DeviceProfile) -> list[np.ndarray]:
-    """:func:`read_svc` of each file of one session, in order: checked arrays."""
-    return [read_svc(path, device) for _, path in files]
+def _read_session(files: list[tuple[tuple[int, int, int], Path]], device: DeviceProfile
+                  ) -> tuple[list[np.ndarray], list[dict[str, float]]]:
+    """:func:`read_svc` of each file of one session, in order: checked arrays,
+    and their features, computed while the arrays are fresh in cache by one
+    :func:`_pressure_features` call per group of equally long files."""
+    arrays = [read_svc(path, device) for _, path in files]
+    values = [None] * len(arrays)
+    for n in set(map(len, arrays)):
+        group = [i for i, samples in enumerate(arrays) if len(samples) == n]
+        pressures = np.array([arrays[i][:, COL_PRESSURE] for i in group])
+        for i, row in zip(group, _pressure_features(pressures, device)):
+            values[i] = row
+    return arrays, values
 
 
 def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:
@@ -732,11 +778,14 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     keeps none of the results.  The children ignore SIGINT, and a caller
     that stops early (an interrupt, say) terminates them before it reaps
     them, so none runs on after the call; every shared file is closed by
-    then.  Python 3.12 and later warn (``DeprecationWarning``) when a
-    multi-threaded process forks, and importing numpy leaves its OpenBLAS
-    threads running; the children only draw random numbers, parse, format,
-    count rank sums and do file I/O, make no BLAS call, and leave through
-    ``os._exit``.
+    then.  A caller killed outright takes its children with it: each child
+    asks for SIGKILL when its parent dies (``PR_SET_PDEATHSIG``).  That
+    signal follows the thread that forked the child, not the process, and
+    that thread stays in this call until every child is reaped.  Python
+    3.12 and later warn (``DeprecationWarning``) when a multi-threaded
+    process forks, and importing numpy leaves its OpenBLAS threads running;
+    the children only draw random numbers, parse, format, count rank sums
+    and do file I/O, make no BLAS call, and leave through ``os._exit``.
     """
     n = min(_process_count(), len(chunks))
     if n <= 1:
@@ -744,6 +793,7 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
+    _libc()  # loaded once here, not again in every child (_run_child)
     counter = mmap.mmap(-1, 8)  # the next chunk to claim, shared with the children
     counter[:] = n.to_bytes(8, "little")
     claims = functools.partial(_claims, end=len(chunks), counter=counter, lock=context.Lock())
@@ -755,7 +805,7 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
             try:
                 worker = context.Process(target=_run_child, daemon=True,
-                                         args=(fn, chunks, claims(k), memfds[-1]))
+                                         args=(fn, chunks, claims(k), memfds[-1], os.getpid()))
                 worker.start()
                 workers.append(worker)
             finally:
@@ -817,15 +867,20 @@ def _outcomes(fn: Callable, chunks: Sequence,
             return
 
 
-def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], memfd: int) -> None:
-    """Body of a forked child: pickle each of the :func:`_outcomes` of the
-    chunks it claims as it comes, with protocol 5, into the shared file
-    ``memfd``: the out-of-band buffers (each array's data) straight from
-    the arrays, one chunk's back to back from a multiple of 64 bytes
-    (aligned for any numpy dtype).  Once it stops, it appends the list of
-    ``(i, ok, pickle, offset, buffer sizes)`` as one pickle and, last of
-    all, writes the list's offset into the file's first 8 bytes, which read
-    zero until then (:func:`_reported`)."""
+def _run_child(fn: Callable, chunks: Sequence, claimed: Iterable[int], memfd: int,
+               caller: int) -> None:
+    """Body of a child forked by the process ``caller``: first it arranges to
+    die with its parent, and exits at once if ``caller`` is gone already.
+    Then it pickles each of the :func:`_outcomes` of the chunks it claims
+    as it comes, with protocol 5, into the shared file ``memfd``: the
+    out-of-band buffers (each array's data) straight from the arrays, one
+    chunk's back to back from a multiple of 64 bytes (aligned for any numpy
+    dtype).  Once it stops, it appends the list of ``(i, ok, pickle,
+    offset, buffer sizes)`` as one pickle and, last of all, writes the
+    list's offset into the file's first 8 bytes, which read zero until then
+    (:func:`_reported`)."""
+    if _libc().prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) or os.getppid() != caller:
+        os._exit(1)  # no death signal, or the caller died before it was set
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller alone answers an interrupt
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # and stops the child with terminate()
     signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGINT, signal.SIGTERM))
@@ -862,9 +917,12 @@ def _reported(memfd: int) -> list[tuple[int, bool, object]]:
     return outcomes
 
 
+_PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
+
+
 @functools.cache
 def _libc():
-    """libc with ``mmap`` and ``munmap`` declared for ctypes."""
+    """libc with ``mmap``, ``munmap`` and ``prctl`` declared for ctypes."""
     import ctypes  # here, not at the top: importing the CLI stays lean
 
     libc = ctypes.CDLL(None, use_errno=True)
@@ -872,6 +930,7 @@ def _libc():
     libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
                           ctypes.c_int, ctypes.c_long)
     libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+    libc.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
     return libc
 
 

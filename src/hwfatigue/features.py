@@ -14,6 +14,13 @@ Each per-recording rule exists once, in the kernel :func:`feature_of_rows`
 over k equally long rows.  Its mean reduces a C-contiguous float64 block
 along the rows, which gives each row the bits of its 1-d ``mean``; an int64
 block would not, as ``mean(axis=1)`` sums it in buffers of 8192 values.
+
+Every recording's saturation ratio and mean pressure are computed by that
+kernel once, when its samples are built: a :func:`hwfatigue.data.load_dataset`
+or :func:`hwfatigue.synth.generate_dataset` unit runs it on each group of
+equally long recordings it holds, and ``Recording(...)``, unpickling,
+:func:`hwfatigue.synth.generate_recording` and the ``features`` command on
+their one row.  :func:`hwfatigue.report.aggregate` only collects the values.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ takes that document and only formats its rows (RFC-4180, LF endings; table1
 rounded to integers, table2 to three decimals).  Every number is
 recomputable from the ``values`` list of the underlying cell.
 
-:func:`aggregate` reduces blocks, not single recordings: the pressure
-columns of equally long recordings are stacked, at most :data:`_BLOCK_BYTES`
-of 8-byte values at a time so that the temporaries stay near a megabyte at
-any campaign size, and handed to :func:`hwfatigue.features.feature_of_rows`.
+:func:`aggregate` computes no feature and reads no sample: each recording
+carries its features from the moment it is built (the load and generate
+units compute them with :func:`hwfatigue.features.feature_of_rows` while
+they hold the samples), and :func:`aggregate` only collects them per cell.
 Cells holding equally many values are stacked for their mean and std, row
 by row as in that kernel, so every value keeps the bits of its 1-d reduction.
 """
@@ -41,7 +41,6 @@ from .stats import SESSION_PAIRS, TestResult
 SCHEMA_VERSION = 1
 DEFAULT_ALPHA = 0.05  # significance level of table2 unless the caller picks one
 DEFAULT_FEATURE = "saturation_ratio"  # feature table2 tests unless the caller picks one
-_BLOCK_BYTES = 1 << 19  # pressure bytes :func:`aggregate` stacks at once
 
 
 @dataclass(frozen=True)
@@ -96,26 +95,16 @@ def aggregate(dataset: Dataset, feature: features.FeatureName) -> FeatureGrid:
 
     Values are ordered by subject id.  Cells with no recordings yield n = 0
     summaries; a session a subject skipped is simply absent from that cell.
+    Each value is the one its recording computed when it was built.
     """
     features._check_feature(feature)
     if len(dataset) == 0:
         raise ValueError("cannot aggregate an empty dataset")
-    recordings = list(dataset)
-    by_length = defaultdict(list)
-    for i, recording in enumerate(recordings):
-        by_length[recording.n_samples].append(i)
-    values = np.empty(len(recordings))
-    for n, indices in by_length.items():
-        rows = max(1, _BLOCK_BYTES // (8 * n))
-        for start in range(0, len(indices), rows):
-            chunk = indices[start:start + rows]
-            block = [recordings[i] for i in chunk]
-            values[chunk] = features.feature_of_rows(
-                feature, [r.pressure for r in block], [r.device.max_level for r in block])
     collected: dict[tuple[int, int], list[float]] = {
         (task, session): [] for task in TASKS for session in SESSIONS}
-    for recording, value in zip(recordings, values.tolist()):
-        collected[(recording.task_id, recording.session_id)].append(value)
+    for recording in dataset:
+        collected[(recording.task_id, recording.session_id)].append(
+            recording._features[feature])
     return FeatureGrid(feature=feature, cells=_summaries(collected))
 
 

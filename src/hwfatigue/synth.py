@@ -46,8 +46,8 @@ import numpy as np
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
                    COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS,
-                   _check_device, _check_subject_ids, _fan_out, _int_in, _recording,
-                   _sample_fault, _write_session)
+                   _check_device, _check_subject_ids, _fan_out, _int_in, _pressure_features,
+                   _recording, _sample_fault, _write_session)
 
 _PRESSURE_MEAN = 600.0
 _PRESSURE_SD = 150.0
@@ -268,18 +268,29 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     :func:`hwfatigue.data.write_dataset`.
 
     Each recording's ``samples`` is a read-only view of its session's
-    (9, n, 7) block.  A block a forked child drew lies in that child's one
-    shared mapping, so one recording kept from it keeps the child's whole
-    file, every session it drew; one kept from the caller's own sessions
-    keeps only its session's nine arrays (see
-    :func:`hwfatigue.data._fan_out`).
+    (9, n, 7) block.  The process that draws a session also computes its
+    nine recordings' features (:func:`_generated_session`), which
+    :func:`hwfatigue.report.aggregate` reads instead of the samples.  A
+    block a forked child drew lies in that child's one shared mapping, so
+    one recording kept from it keeps the child's whole file, every session
+    it drew; one kept from the caller's own sessions keeps only its
+    session's nine arrays (see :func:`hwfatigue.data._fan_out`).
     """
     means = _draw_means(TASKS, config.samples_per_recording)
     sessions = _sessions(config)
-    blocks = _fan_out(functools.partial(_checked_samples, config, means, TASKS), sessions)
-    return Dataset(_recording(*session, task_id, samples, config.device)
-                   for session, block in zip(sessions, blocks)
-                   for task_id, samples in zip(TASKS, block))
+    drawn = _fan_out(functools.partial(_generated_session, config, means), sessions)
+    return Dataset(_recording(*session, task_id, samples, config.device, values)
+                   for session, (block, session_values) in zip(sessions, drawn)
+                   for task_id, samples, values in zip(TASKS, block, session_values))
+
+
+def _generated_session(config: SynthConfig, means: np.ndarray, session: tuple[int, int]
+                       ) -> tuple[np.ndarray, list[dict[str, float]]]:
+    """One session's :func:`_checked_samples` block and the features of its
+    nine recordings, one :func:`hwfatigue.data._pressure_features` call on
+    the block's pressures."""
+    block = _checked_samples(config, means, TASKS, session)
+    return block, _pressure_features(block[..., COL_PRESSURE], config.device)
 
 
 def write_synthetic(config: SynthConfig, root: Path | str) -> list[Path]:

@@ -549,6 +549,26 @@ def children(pid: int) -> list[str]:
     return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
 
 
+def alive(pid: str) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def cli_process(argv) -> subprocess.Popen:
+    """``hwfatigue.cli`` run on ``argv`` from this checkout's sources, in a
+    session of its own, with stderr piped as text."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "hwfatigue.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+
+
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2
                     or not Path("/proc/self/task").is_dir(),
                     reason="needs two CPUs for a forked child, and Linux /proc to see it")
@@ -566,12 +586,7 @@ class TestInterrupts:
         """Exit status and stderr lines of the command ``argv``, run in a
         session of its own and sent ``signum`` to its process group as soon
         as ``ready(pid)``, polled without a fixed sleep, holds."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        with subprocess.Popen([sys.executable, "-m", "hwfatigue.cli", *argv], env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                              start_new_session=True) as proc:
+        with cli_process(argv) as proc:
             try:
                 deadline = time.monotonic() + 60
                 while not ready(proc.pid):
@@ -599,6 +614,31 @@ class TestInterrupts:
         assert not out.exists()
         assert run_cli(capsys, *argv)[0] == 0
         assert len(list(out.rglob("*.svc"))) == 40 * 5 * 9
+
+    def test_killed_synth_takes_its_children(self, tmp_path):
+        # SIGKILL to the caller alone, not to its process group, gives it no
+        # chance to stop its children: they die with it, and the tree stops
+        # growing.
+        out = tmp_path / "ds"
+        with cli_process(synth_args(out, subjects=40, samples=2000)) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not (out.is_dir() and any(out.rglob("*.svc"))):
+                    assert proc.poll() is None, "synth ended before it was killed"
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                recorded = [child for task in Path(f"/proc/{proc.pid}/task").iterdir()
+                            for child in (task / "children").read_text().split()]
+                proc.kill()
+                assert proc.wait(timeout=60) == -signal.SIGKILL
+                assert recorded
+                while any(map(alive, recorded)):
+                    assert time.monotonic() < deadline, "a child outlived its killed caller"
+                    time.sleep(0.001)
+            finally:  # after a failed check, nothing of the group keeps running
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert len(list(out.rglob("*.svc"))) < 40 * 5 * 9 // 2
 
     @pytest.fixture(scope="class")
     def dataset_dir(self, tmp_path_factory):

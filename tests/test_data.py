@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import gc
 import io
@@ -11,6 +12,7 @@ import resource
 import sys
 import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import shared_file_descriptors
 from hwfatigue import cli, data, synth
-from hwfatigue.data import (Dataset, DatasetError, DeviceProfile, Recording,
+from hwfatigue.data import (SESSIONS, Dataset, DatasetError, DeviceProfile, Recording,
                             SvcParseError, load_dataset, parse_svc, read_svc,
                             recording_path, serialize_svc, write_dataset)
+from hwfatigue.features import mean_pressure, saturation_ratio
 from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording, write_synthetic
 
 VALID_TEXT = "2\n10 20 0 1 0 0 500\n11 21 10 1 0 0 1023\n"
@@ -54,6 +57,16 @@ def make_recording(subject=1, session=1, task=1, pressures=(500, 600, 700),
     return Recording(subject, session, task, samples, device)
 
 
+def feature_bits(recording):
+    """The features ``recording`` carries, and those the scalar feature
+    functions compute from its samples, each float as ``float.hex``."""
+    computed = {"saturation_ratio": saturation_ratio(recording.pressure,
+                                                     recording.device.max_level),
+                "mean_pressure": mean_pressure(recording.pressure)}
+    return ({name: value.hex() for name, value in recording._features.items()},
+            {name: value.hex() for name, value in computed.items()})
+
+
 class TestParseSvc:
     def test_two_samples(self):
         samples = parse_svc(VALID_TEXT)
@@ -82,6 +95,18 @@ class TestParseSvc:
     def test_pressure_range_follows_device(self):
         samples = parse_svc("1\n10 20 0 1 0 0 2000\n", DeviceProfile(max_level=4095))
         assert samples[0, 6] == 2000
+
+    @pytest.mark.parametrize("device", [1023, SimpleNamespace(max_level=1023)])
+    def test_device_must_be_a_profile(self, device):
+        with pytest.raises(ValueError, match="^device must be a DeviceProfile, got "):
+            parse_svc(VALID_TEXT, device)
+
+    @pytest.mark.parametrize("device", [1023, SimpleNamespace(max_level=1023)])
+    def test_read_svc_device_must_be_a_profile(self, device, tmp_path):
+        path = tmp_path / "task1.svc"
+        path.write_text(VALID_TEXT)
+        with pytest.raises(ValueError, match="^device must be a DeviceProfile, got "):
+            read_svc(path, device)
 
     def test_negative_pressure(self):
         with pytest.raises(SvcParseError, match="pressure -1"):
@@ -565,6 +590,21 @@ class TestRecording:
         with pytest.raises(ValueError, match=f"^device must be a DeviceProfile, got {device}$"):
             make_recording(device=device)
 
+    @pytest.mark.parametrize("pressures, max_level", [
+        ((500, 600, 700), 1023), ((1023, 1, 1023), 1023), ((7,), 7), ((0, 3, 2**40), 2**40),
+        (range(9000), 8999)])
+    def test_carries_its_features(self, pressures, max_level):
+        rec = make_recording(pressures=pressures, device=DeviceProfile(max_level))
+        carried, computed = feature_bits(rec)
+        assert carried == computed
+        assert feature_bits(pickle.loads(pickle.dumps(rec))) == (computed, computed)
+
+    def test_features_are_not_fields(self):
+        rec = make_recording()
+        assert "_features" in vars(rec)
+        assert "_features" not in repr(rec)
+        assert "_features" not in {f.name for f in dataclasses.fields(rec)}
+
 
 class TestDataset:
     def test_duplicate_key_guarded(self):
@@ -592,6 +632,15 @@ class TestDatasetIO:
     def test_missing_root(self, tmp_path):
         with pytest.raises(DatasetError, match="not a directory"):
             load_dataset(tmp_path / "nope")
+
+    @pytest.mark.parametrize("device", [1023, SimpleNamespace(max_level=1023)])
+    def test_device_must_be_a_profile_before_the_walk(self, device, tmp_path, monkeypatch):
+        write_dataset(generate_dataset(SynthConfig(n_subjects=1, samples_per_recording=5)),
+                      tmp_path)
+        monkeypatch.setattr(data, "_session_files", pytest.fail)
+        monkeypatch.setattr(data, "_fan_out", pytest.fail)
+        with pytest.raises(ValueError, match="^device must be a DeviceProfile, got "):
+            load_dataset(tmp_path, device)
 
     def test_full_campaign_count(self, tmp_path):
         config = SynthConfig(n_subjects=21, samples_per_recording=5, seed=3)
@@ -988,6 +1037,39 @@ class TestFanOut:
             for ds in (load_dataset(root, device), generate_dataset(config)):
                 assert len(ds) == 135
                 assert all(rec.device is device for rec in ds)
+
+    def test_loaded_recordings_carry_their_features(self, tmp_path, processes):
+        # Every session of subject 1 mixes three lengths: 30 samples, 11 in
+        # tasks 2 and 5, 45 in task 9; each length is one kernel call.
+        device = DeviceProfile(700)
+        config = SynthConfig(n_subjects=3, samples_per_recording=30, seed=9, device=device)
+        write_dataset(generate_dataset(config), tmp_path)
+        for task, n in ((2, 11), (5, 11), (9, 45)):
+            other = dataclasses.replace(config, samples_per_recording=n)
+            for session in SESSIONS:
+                recording_path(tmp_path, 1, session, task).write_text(
+                    serialize_svc(generate_recording(other, 1, session, task).samples))
+        for n in PROCESS_COUNTS:
+            processes(n)
+            ds = load_dataset(tmp_path, device)
+            assert len(ds) == 135
+            assert {rec.n_samples for rec in ds} == {11, 30, 45}
+            assert any(rec._features["saturation_ratio"] > 0 for rec in ds)
+            for rec in ds:
+                carried, computed = feature_bits(rec)
+                assert carried == computed, rec.key
+
+    def test_generated_recordings_carry_their_features(self, processes):
+        config = SynthConfig(n_subjects=3, samples_per_recording=30, seed=9,
+                             device=DeviceProfile(700))
+        for n in PROCESS_COUNTS:
+            processes(n)
+            ds = generate_dataset(config)
+            assert len(ds) == 135
+            for rec in ds:
+                carried, computed = feature_bits(rec)
+                assert carried == computed, rec.key
+                assert feature_bits(generate_recording(config, *rec.key)) == (computed, computed)
 
     @pytest.mark.parametrize("ending", ["success", "failing_chunk", "dying_child", "interrupt",
                                         "start_fails"])

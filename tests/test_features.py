@@ -1,3 +1,4 @@
+import pickle
 import re
 from functools import partial
 
@@ -6,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwfatigue import cli, features
-from hwfatigue.data import Recording, serialize_svc
-from hwfatigue.features import (FEATURES, extract_features, first_difference, mean_pressure,
+from hwfatigue import cli, data, features
+from hwfatigue.data import Recording, load_dataset, recording_path, serialize_svc
+from hwfatigue.features import (extract_features, first_difference, mean_pressure,
                                 saturation_ratio)
-from hwfatigue.report import aggregate
 from hwfatigue.synth import SynthConfig, generate_dataset, generate_recording
 
 from oracles import mean_by_summation, saturation_ratio_by_loop
@@ -59,12 +59,20 @@ def test_every_feature_path_runs_the_one_kernel(monkeypatch, tmp_path, capsys):
     def kernel(*args):
         raise KernelRan
 
-    dataset = generate_dataset(SynthConfig(n_subjects=2, samples_per_recording=20))
-    recording = dataset.get(1, 1, 1)
-    path = tmp_path / "task1.svc"
+    # The builders compute every recording's features; aggregate only reads them.
+    config = SynthConfig(n_subjects=2, samples_per_recording=20)
+    recording = generate_recording(config, 1, 1, 1)
+    path = recording_path(tmp_path, *recording.key)
+    path.parent.mkdir(parents=True)
     path.write_text(serialize_svc(recording.samples))
+    monkeypatch.setattr(data, "_process_count", lambda: 1)  # the kernel runs in this process
     monkeypatch.setattr(features, "feature_of_rows", kernel)
-    calls = [partial(aggregate, dataset, feature) for feature in FEATURES] + [
+    calls = [
+        partial(generate_dataset, config),
+        partial(load_dataset, tmp_path),
+        partial(generate_recording, config, 1, 1, 1),
+        partial(Recording, *recording.key, recording.samples),
+        partial(pickle.loads, pickle.dumps(recording)),
         partial(saturation_ratio, recording.pressure, 1023),
         partial(mean_pressure, recording.pressure),
         partial(extract_features, recording),

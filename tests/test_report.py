@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwfatigue import cli, features, report
+from hwfatigue import cli, data, features, report
 from hwfatigue.cli import analyze_dataset
-from hwfatigue.data import SESSIONS, TASKS, Dataset, DeviceProfile
+from hwfatigue.data import SESSIONS, TASKS, Dataset, DeviceProfile, Recording, load_dataset
 from hwfatigue.features import FEATURES, extract_features
 from hwfatigue.report import (FeatureGrid, aggregate, render_fig_data_csv, render_fig_data_json,
                               render_table1_csv, render_table1_json, render_table2_csv,
                               render_table2_json)
 from hwfatigue.stats import SESSION_PAIRS, TestResult, pairwise_session_tests
-from hwfatigue.synth import SynthConfig, generate_dataset
+from hwfatigue.synth import SynthConfig, generate_dataset, write_synthetic
 
 from oracles import aggregate_by_recording, feature_by_recording, mean_by_summation
 
@@ -143,8 +143,9 @@ class TestAggregate:
 
     def test_unknown_feature_rejected(self, monkeypatch):
         # aggregate refuses before its loop, even on an empty dataset.
+        datasets = (Dataset(), small_dataset())
         monkeypatch.setattr(features, "feature_of_rows", pytest.fail)
-        for dataset in (Dataset(), small_dataset()):
+        for dataset in datasets:
             with pytest.raises(ValueError, match="^unknown feature 'speed', expected one of "):
                 aggregate(dataset, "speed")
 
@@ -169,9 +170,26 @@ class TestAggregate:
                 assert (getattr(extract_features(recording), feature).hex()
                         == feature_by_recording(recording, feature).hex())
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_reads_no_sample_and_runs_no_kernel(self, tmp_path, monkeypatch, processes):
+        monkeypatch.setattr(data, "_process_count", lambda: processes)
+        config = SynthConfig(n_subjects=3, samples_per_recording=40, seed=5)
+        write_synthetic(config, tmp_path)
+        datasets = [generate_dataset(config), load_dataset(tmp_path)]
+        expected = {feature: aggregate_by_recording(datasets[0], feature) for feature in FEATURES}
+        monkeypatch.setattr(features, "feature_of_rows", pytest.fail)
+        for name in ("samples", "pressure"):
+            monkeypatch.setattr(Recording, name, property(pytest.fail), raising=False)
+        for dataset in datasets:
+            for feature in FEATURES:
+                grid = aggregate(dataset, feature)
+                for key, cell in grid.cells.items():
+                    want = summary_bits(*expected[feature][key])
+                    assert summary_bits(cell.values, cell.n, cell.mean, cell.std) == want
+
     def test_temporaries_stay_within_a_block(self):
-        """The paper's 21 x 2000 campaign holds 15 MB of pressures; what
-        aggregate allocates at any one time stays near one capped block."""
+        """The paper's 21 x 2000 campaign holds 15 MB of pressures; aggregate
+        reads none of them and allocates little more than its value lists."""
         dataset = small_dataset(n_subjects=21, samples=2000)
         for feature in FEATURES:
             tracemalloc.start()
