@@ -24,10 +24,11 @@ Missing files are legal; names :func:`recording_path` does not write are ignored
 :func:`serialize_svc` and :func:`write_dataset` emit one canonical text
 (tokens with no ``+`` and no leading zeros, single spaces, LF line ends),
 formatted by :func:`_svc_bytes` from two tables of five-digit words.
-:func:`read_svc` hands a file's bytes, and :func:`parse_svc` its text's,
-to :func:`_parse_vectorized`, which decodes well-formed text a word at a
-time: each token's value comes from the 8 bytes that end at it.  Any other
-text goes to :func:`_parse_lines`, which reports its first fault.
+:func:`read_svc` hands a file's bytes, and :func:`parse_svc` its text in
+UTF-8, to :func:`_parse_vectorized`, which decodes well-formed text a word
+at a time: each token's value comes from the 8 bytes that end at it.  Any
+other text goes to :func:`_parse_lines`, which reports the first fault in
+file order: a string and a file of the same content name the same line.
 
 Every dataset-wide function forks over the CPUs with one subject's session
 as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
@@ -52,6 +53,7 @@ in: a ceiling or saturation level, a recording id, a count, a seed, a flag.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import mmap
@@ -87,6 +89,7 @@ _DIGITS_AND_BLANKS = b"0123456789 \t\n"
 _HEADER_RE = re.compile(rb"[ \t\n]*([+-]?[0-9]{1,19})[ \t]*\n")
 _TOKEN_RE = re.compile(r"[+-]?[0-9]+")
 _SEPARATOR_RE = re.compile(r"[ \t]+")
+_NON_ASCII_RE = re.compile("[\x80-\xff]")  # in text decoded one character per byte
 _INT64 = np.iinfo(np.int64)
 
 
@@ -145,7 +148,7 @@ def _check_device(device) -> None:
         raise ValueError(f"device must be a DeviceProfile, got {device!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Recording:
     """Ordered sample stream for one (subject, session, task) triple.
 
@@ -155,6 +158,8 @@ class Recording:
     integers: ``subject_id`` at least 1, ``session_id`` in :data:`SESSIONS`
     and ``task_id`` in :data:`TASKS`.  Its features (:func:`_pressure_features`)
     are computed once, when it is built, and kept in a private attribute.
+    Two recordings are equal when their keys, devices and samples are; the
+    features follow from those and are not compared.
     """
 
     subject_id: int
@@ -178,6 +183,15 @@ class Recording:
         # unpickling freezes the array again, which pickle would restore writable,
         # and computes the features again.
         return _recording, (*self.key, self.samples, self.device)
+
+    def __eq__(self, other):
+        if not isinstance(other, Recording):
+            return NotImplemented
+        return (self.key == other.key and self.device == other.device
+                and np.array_equal(self.samples, other.samples))
+
+    def __hash__(self) -> int:
+        return hash((self.key, self.device))
 
     @property
     def n_samples(self) -> int:
@@ -317,8 +331,7 @@ def _pressure_features(pressures, device: DeviceProfile) -> list[dict[str, float
     per row mapping each feature's name to its value."""
     from . import features  # here, not at the top: features imports this module
 
-    levels = [device.max_level] * len(pressures)
-    columns = [features.feature_of_rows(name, pressures, levels).tolist()
+    columns = [features.feature_of_rows(name, pressures, device.max_level).tolist()
                for name in features.FEATURES]
     return [dict(zip(features.FEATURES, row)) for row in zip(*columns)]
 
@@ -346,17 +359,15 @@ def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> 
     """
     _check_device(device)
     text = source.read() if hasattr(source, "read") else source
-    if text.isascii():
-        return _parse_bytes(text.encode("ascii"), device)
-    return _parse_lines(text.replace("\r\n", "\n"), device)  # raises: SVC text is ASCII
+    return _parse_bytes(text.encode("utf-8", "surrogatepass"), device)
 
 
 def _parse_bytes(raw: bytes, device: DeviceProfile) -> np.ndarray:
-    """:func:`parse_svc` of a file's bytes.  A byte outside ASCII raises
-    :class:`UnicodeDecodeError` at its offset in ``raw``."""
-    samples = _parse_vectorized(raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw)
+    """:func:`parse_svc` of the bytes of a file or of UTF-8 encoded text."""
+    raw = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
+    samples = _parse_vectorized(raw)
     if samples is None or _sample_fault(samples[None], device.max_level) is not None:
-        samples = _parse_lines(raw.decode("ascii").replace("\r\n", "\n"), device)
+        samples = _parse_lines(raw.decode("latin-1"), device)  # one character per byte
     return samples
 
 
@@ -479,20 +490,26 @@ def _window_values(raw: bytes, starts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _parse_lines(text: str, device: DeviceProfile) -> np.ndarray:
-    """Line-by-line parse that raises at the first bad line.
+    """Line-by-line parse of ``text``, one character per byte with CRLF
+    folded to LF, that raises at the first bad line.
 
     Runs only after :func:`_parse_vectorized` has given up or its array
     failed :func:`_sample_fault`, so that errors carry a file line and a
-    reason.  Syntax is checked line by line; :func:`_sample_fault` runs on
-    the rows parsed before the first syntax error, so whichever fault comes
-    first in the file is reported.
+    reason.  Syntax is checked line by line (a byte outside ASCII, header included, is
+    its line's fault); :func:`_sample_fault` runs on the rows before the first syntax
+    fault, so the first fault in file order is reported.
     """
     numbered = [(i, line.strip(" \t")) for i, line in enumerate(text.split("\n"), start=1)]
     numbered = [(i, line) for i, line in numbered if line]
     if not numbered:
         raise SvcParseError("missing sample-count header")
+    bad = _NON_ASCII_RE.search(text)  # the first: parsing stops at its line
+    non_ascii = bad and SvcParseError(f"non-ASCII byte 0x{ord(bad[0]):02x}",
+                                      line=text.count("\n", 0, bad.start()) + 1)
 
     header_line_no, header = numbered[0]
+    if non_ascii and non_ascii.line == header_line_no:
+        raise non_ascii
     if not _TOKEN_RE.fullmatch(header):
         raise SvcParseError(f"sample-count header is not an integer: {header!r}",
                             line=header_line_no)
@@ -515,7 +532,9 @@ def _parse_lines(text: str, device: DeviceProfile) -> np.ndarray:
     for line_no, line in data_lines:
         tokens = _SEPARATOR_RE.split(line)
         values = [_int64(t) for t in tokens if _TOKEN_RE.fullmatch(t)]
-        if len(tokens) != N_COLUMNS:
+        if non_ascii and non_ascii.line == line_no:
+            fault = non_ascii
+        elif len(tokens) != N_COLUMNS:
             fault = SvcParseError(f"expected {N_COLUMNS} columns, got {len(tokens)}",
                                   line=line_no)
         elif len(values) != N_COLUMNS:
@@ -546,21 +565,13 @@ def _int64(token: str) -> int | None:
 
 
 def read_svc(path: Path | str, device: DeviceProfile = DeviceProfile()) -> np.ndarray:
-    """Read and parse one SVC file; every error names ``path``.
-
-    The file's bytes go to the decoder as they are; a byte outside ASCII is
-    reported as a :class:`SvcParseError` with the path and line rather than
-    a decode error.  ValueError before any reading unless ``device`` is a
-    :class:`DeviceProfile`.
+    """:func:`parse_svc` of the file at ``path``, whose bytes go to the
+    decoder as they are; every error names ``path``.  ValueError before any
+    reading unless ``device`` is a :class:`DeviceProfile`.
     """
     _check_device(device)
-    raw = Path(path).read_bytes()
     try:
-        return _parse_bytes(raw, device)
-    except UnicodeDecodeError as err:
-        raise SvcParseError(f"non-ASCII byte 0x{raw[err.start]:02x}",
-                            line=raw.count(b"\n", 0, err.start) + 1,
-                            path=str(path)) from None
+        return _parse_bytes(Path(path).read_bytes(), device)
     except SvcParseError as err:
         err.path = str(path)
         raise
@@ -923,8 +934,6 @@ _PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 @functools.cache
 def _libc():
     """libc with ``mmap``, ``munmap`` and ``prctl`` declared for ctypes."""
-    import ctypes  # here, not at the top: importing the CLI stays lean
-
     libc = ctypes.CDLL(None, use_errno=True)
     libc.mmap.restype = ctypes.c_void_p
     libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
@@ -942,8 +951,6 @@ class _Mapping:
     and kept results would then hold one descriptor per child."""
 
     def __init__(self, fd: int, size: int):
-        import ctypes
-
         libc = _libc()
         address = libc.mmap(None, size, mmap.PROT_READ, mmap.MAP_SHARED, fd, 0)
         if address == ctypes.c_void_p(-1).value:  # MAP_FAILED

@@ -20,7 +20,8 @@ kernel once, when its samples are built: a :func:`hwfatigue.data.load_dataset`
 or :func:`hwfatigue.synth.generate_dataset` unit runs it on each group of
 equally long recordings it holds, and ``Recording(...)``, unpickling,
 :func:`hwfatigue.synth.generate_recording` and the ``features`` command on
-their one row.  :func:`hwfatigue.report.aggregate` only collects the values.
+their one row.  :func:`hwfatigue.report.aggregate` only collects the values,
+and :func:`extract_features` computes only a pen-down subset's.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .data import MAX_PRESSURE_LEVEL, Recording, _int_in
+from .data import COL_X, COL_Y, MAX_PRESSURE_LEVEL, Recording, _features_of, _int_in
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,20 +56,20 @@ def _check_feature(feature: str) -> str:
     return feature
 
 
-def feature_of_rows(feature: FeatureName, rows, levels) -> np.ndarray:
+def feature_of_rows(feature: FeatureName, rows, level: int) -> np.ndarray:
     """``feature`` of each of k equally long pressure ``rows`` as k floats.
     Saturation compares each row as given (a float row is never cast to
-    int64) with its ceiling in ``levels``; the mean ignores ``levels``."""
+    int64) with the ceiling ``level`` as int64; the mean ignores ``level``."""
     if feature == "saturation_ratio":
         block = np.asarray(rows)
-        return np.count_nonzero(block >= np.asarray(levels)[:, None], axis=1) / block.shape[1]
+        return np.count_nonzero(block >= np.int64(level), axis=1) / block.shape[1]
     return np.array(rows, dtype=np.float64).mean(axis=1)
 
 
 def _series(values) -> np.ndarray:
-    """``values`` as a 1-d array; ValueError naming the shape otherwise, or
-    the index of the first NaN.  Only a float or complex series can hold
-    one, so an integer series is not searched."""
+    """``values`` as a 1-d array of bools, integers or floats; ValueError
+    naming the shape otherwise, the index of the first NaN, or the dtype.
+    Only a float or complex series can hold a NaN, so no other is searched."""
     a = np.asarray(values)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {a.shape}")
@@ -76,6 +77,8 @@ def _series(values) -> np.ndarray:
         nan = np.isnan(a)
         if nan.any():
             raise ValueError(f"series holds NaN at index {int(np.argmax(nan))}")
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"series must hold bools, integers or floats, got dtype {a.dtype}")
     return a
 
 
@@ -87,7 +90,7 @@ def saturation_ratio(pressure, sat_level: int) -> float:
     if p.size == 0:
         raise ValueError("saturation ratio is undefined for an empty series")
     sat_level = _int_in("sat_level", sat_level, 1, MAX_PRESSURE_LEVEL)
-    return float(feature_of_rows("saturation_ratio", p[None], [sat_level])[0])
+    return float(feature_of_rows("saturation_ratio", p[None], sat_level)[0])
 
 
 def mean_pressure(pressure) -> float:
@@ -113,7 +116,8 @@ def extract_features(recording: Recording, pen_down_only: bool = False) -> Featu
     """Bundle the per-recording features.
 
     Saturation uses the recording's device ceiling as the saturation level.
-    With ``pen_down_only`` every series (pressure and coordinates alike) is
+    The full series' values are those the recording carries.  With
+    ``pen_down_only`` every series (pressure and coordinates alike) is
     restricted to pen-down samples before any computation; ValueError if
     none is pen-down.  The speeds are ``n_samples - 1`` long: empty for one.
     """
@@ -121,13 +125,14 @@ def extract_features(recording: Recording, pen_down_only: bool = False) -> Featu
         mask = recording.pen_status == 1
         if not mask.any():
             raise ValueError("recording has no pen-down samples")
-        x, y, pressure = recording.x[mask], recording.y[mask], recording.pressure[mask]
+        samples = recording.samples[mask]
+        values = _features_of(samples, recording.device)
     else:
-        x, y, pressure = recording.x, recording.y, recording.pressure
+        samples, values = recording.samples, recording._features
+    x, y = samples[:, COL_X], samples[:, COL_Y]
     return FeatureVector(
-        saturation_ratio=saturation_ratio(pressure, recording.device.max_level),
-        mean_pressure=mean_pressure(pressure),
-        n_samples=int(pressure.size),
+        **values,
+        n_samples=len(samples),
         speed_x=first_difference(x) if x.size > 1 else np.empty(0),
         speed_y=first_difference(y) if y.size > 1 else np.empty(0),
     )

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -103,8 +104,8 @@ class SynthConfig:
                 raise ValueError(f"task {task} missing from per-task configuration")
             if not 0.0 <= base < 1.0:
                 raise ValueError(f"base_saturation[{task}] must be in [0, 1), got {base}")
-            if mult < 1.0:
-                raise ValueError(f"fatigue_multiplier[{task}] must be >= 1, got {mult}")
+            if not 1.0 <= mult < math.inf:
+                raise ValueError(f"fatigue_multiplier[{task}] must be finite and >= 1, got {mult}")
             if base * mult > 1.0:
                 raise ValueError(
                     f"base_saturation[{task}] * fatigue_multiplier[{task}] exceeds 1")

@@ -187,6 +187,7 @@ class TestParseSvc:
         "0x1 20 0 1 0 0 500",
         "1e3 20 0 1 0 0 500",
         "10\u00a020 0 1 0 0 500",          # no-break space as a separator
+        "\ud800 20 0 1 0 0 500",           # a lone surrogate, encoded with surrogatepass
         "99999999999999999999 20 0 1 0 0 500",
     ])
     def test_rejects_tokens_outside_ascii_grammar(self, line):
@@ -196,7 +197,7 @@ class TestParseSvc:
         assert exc.value.line == 4
 
     def test_rejects_non_ascii_header(self):
-        with pytest.raises(SvcParseError, match="header is not an integer") as exc:
+        with pytest.raises(SvcParseError, match="non-ASCII byte 0xd9") as exc:
             parse_svc("\n\u0661\n10 20 0 1 0 0 500\n")
         assert exc.value.line == 2
 
@@ -310,6 +311,31 @@ class TestParseSvcAgainstReference:
             assert np.array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 7))
 
 
+# Text whose first fault precedes its first byte outside ASCII, and a
+# non-ASCII header: (text, line, message) of the first fault.
+FIRST_FAULTS = {
+    "columns": ("2\n1 2 3 1 0 0\n1 2 3 1 0 0 \u00e9\n", 2, "expected 7 columns, got 6"),
+    "pressure": ("2\n1 2 3 1 0 0 5000\n1 2 3 1 0 0 \u00e9\n", 2,
+                 "pressure 5000 outside [0, 1023]"),
+    "count": ("2\n1 2 3 1 0 0 5\n1 2 3 1 0 0 5\n1 2 3 1 0 0 \u00e9\n", 1,
+              "sample count mismatch: header declares 2, found 3 data lines"),
+    "header": ("\n\u0661\n10 20 0 1 0 0 500\n", 2, "non-ASCII byte 0xd9"),
+}
+
+
+@pytest.mark.parametrize("text, line, message", FIRST_FAULTS.values(), ids=FIRST_FAULTS.keys())
+def test_string_and_file_report_the_same_first_fault(tmp_path, text, line, message):
+    path = tmp_path / "task1.svc"
+    path.write_bytes(text.encode())
+    for parse in (lambda: parse_svc(text), lambda: read_svc(path)):
+        with pytest.raises(SvcParseError) as exc:
+            parse()
+        assert (exc.value.line, exc.value.message) == (line, message)
+    with pytest.raises(oracles.SvcReject) as reject:
+        oracles.parse_svc_by_lines(text.encode().decode("latin-1"), 1023)
+    assert reject.value.line == line
+
+
 def _decoded(text: str):
     """``data._parse_vectorized`` of ``text`` as ``parse_svc`` hands it over."""
     return data._parse_vectorized(text.replace("\r\n", "\n").encode())
@@ -390,14 +416,23 @@ class TestIngestArbitraryBytes:
         path = tmp_path / "subject01" / "session1" / "task1.svc"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(content)
+        # One character per byte: the oracle's and parse_svc's view of the file.
+        text = content.decode("latin-1")
         try:
             samples = read_svc(path)
         except SvcParseError as err:
             assert err.path == str(path)
+            with pytest.raises(oracles.SvcReject) as reject:
+                oracles.parse_svc_by_lines(text, 1023)
+            assert err.line == reject.value.line
+            with pytest.raises(SvcParseError) as exc:
+                parse_svc(text)
+            assert exc.value.line == err.line
             with pytest.raises(SvcParseError) as exc:
                 load_dataset(tmp_path)
             assert exc.value.path == str(path)
             return
+        assert np.array_equal(parse_svc(text), samples)
         # What the parser returns, Recording accepts and load_dataset loads.
         assert samples.dtype == np.int64 and samples.shape == (len(samples), 7)
         assert np.array_equal(Recording(1, 1, 1, samples).samples, samples)
@@ -598,6 +633,23 @@ class TestRecording:
         carried, computed = feature_bits(rec)
         assert carried == computed
         assert feature_bits(pickle.loads(pickle.dumps(rec))) == (computed, computed)
+
+    def test_equal_to_the_same_contents_loaded(self, tmp_path):
+        rec = make_recording(2, 3, 4, pressures=(1023, 5, 700))
+        write_dataset(Dataset([rec]), tmp_path)
+        loaded = load_dataset(tmp_path).get(2, 3, 4)
+        assert loaded == rec and loaded is not rec
+        assert loaded in [make_recording(), rec]
+        assert hash(loaded) == hash(rec) and len({rec, loaded}) == 1
+
+    @pytest.mark.parametrize("other", [
+        make_recording(pressures=(500, 600, 701)), make_recording(pressures=(500, 600)),
+        make_recording(task=2), make_recording(device=DeviceProfile(2000)), "recording"],
+        ids=["samples", "length", "key", "device", "str"])
+    def test_unequal_to_other_contents(self, other):
+        rec = make_recording()
+        assert rec != other and other != rec
+        assert len({rec, make_recording(), other}) == 2
 
     def test_features_are_not_fields(self):
         rec = make_recording()

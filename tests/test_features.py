@@ -59,7 +59,8 @@ def test_every_feature_path_runs_the_one_kernel(monkeypatch, tmp_path, capsys):
     def kernel(*args):
         raise KernelRan
 
-    # The builders compute every recording's features; aggregate only reads them.
+    # The builders compute every recording's features; aggregate only reads them,
+    # and extract_features computes only a pen-down subset's.
     config = SynthConfig(n_subjects=2, samples_per_recording=20)
     recording = generate_recording(config, 1, 1, 1)
     path = recording_path(tmp_path, *recording.key)
@@ -75,13 +76,37 @@ def test_every_feature_path_runs_the_one_kernel(monkeypatch, tmp_path, capsys):
         partial(pickle.loads, pickle.dumps(recording)),
         partial(saturation_ratio, recording.pressure, 1023),
         partial(mean_pressure, recording.pressure),
-        partial(extract_features, recording),
+        partial(extract_features, recording, pen_down_only=True),
         partial(cli.main, ["features", "--input", str(path)]),
     ]
     for call in calls:
         with pytest.raises(KernelRan):
             call()
     assert capsys.readouterr().out == ""
+
+
+def test_full_series_features_are_the_carried_values(monkeypatch):
+    recording = make_recording(pressures=(1023, 5, 700, 1023))
+    carried = dict(recording._features)
+    monkeypatch.setattr(features, "feature_of_rows", pytest.fail)
+    fv = extract_features(recording)
+    assert {"saturation_ratio": fv.saturation_ratio, "mean_pressure": fv.mean_pressure} == carried
+    assert fv.n_samples == 4 and fv.speed_x.tolist() == [3.0, 3.0, 3.0]
+
+
+NOT_NUMBERS = {"none": [None, 1], "str": ["1", "2"], "bytes": [b"1"],
+               "complex": np.array([1, 2j]), "datetime": np.array(["2024-01-01"], "M8[D]")}
+
+
+@pytest.mark.parametrize("series", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_series_features_refuse_non_numbers(series):
+    message = ("^" + re.escape("series must hold bools, integers or floats, got dtype "
+                               f"{np.asarray(series).dtype}") + "$")
+    for call in (lambda: saturation_ratio(series, 1023), lambda: mean_pressure(series),
+                 lambda: first_difference(series),
+                 lambda: saturation_ratio(series, 0)):  # the series is checked first
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestSaturationRatio:

@@ -49,6 +49,14 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match=r"fatigue_multiplier"):
             SynthConfig(fatigue_multiplier=0.5)
 
+    @pytest.mark.parametrize("name", ["base_saturation", "fatigue_multiplier"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_effect_sizes(self, name, value):
+        # base 0 leaves the product 0 or NaN: no product check could catch the multiplier
+        effects = {"base_saturation": 0.0, "fatigue_multiplier": 1.0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name}\[1\] must .*, got {value}$"):
+            SynthConfig(**effects)
+
     def test_rejects_product_above_one(self):
         with pytest.raises(ValueError, match=r"exceeds 1"):
             SynthConfig(base_saturation=0.3, fatigue_multiplier=5.0)
