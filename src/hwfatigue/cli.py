@@ -26,9 +26,10 @@ import numpy as np
 
 # No command calls generate_dataset or write_dataset; they stay bound here
 # because perfbench's tracer patches them by these module names.
-from .data import (MAX_SUBJECT_ID, Dataset, DatasetError, DeviceProfile, _int_in,
-                   _recording, load_dataset, read_svc, write_dataset)
-from .features import FEATURES, _check_feature, extract_features
+from .data import (FEATURES, MAX_SUBJECT_ID, Dataset, DatasetError, DeviceProfile,
+                   _check_feature, _features_of, _int_in, _recording, load_dataset, read_svc,
+                   write_dataset)
+from .features import extract_features
 from .report import (DEFAULT_ALPHA, DEFAULT_FEATURE, _check_alpha, aggregate, render_fig_data_csv,
                      render_fig_data_json, render_table1_csv, render_table1_json,
                      render_table2_csv, render_table2_json, significant_labels)
@@ -85,7 +86,7 @@ def analyze_dataset(dataset: Dataset, feature: str = DEFAULT_FEATURE,
     ``feature``, ``alpha`` or ``exact_threshold`` is refused before any work.
     """
     _check_feature(feature)
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_exact_threshold(exact_threshold)
     grid_sat = aggregate(dataset, "saturation_ratio")
     grid_mp = aggregate(dataset, "mean_pressure")
@@ -177,7 +178,8 @@ def _write_outputs(outdir: Path, outputs: dict[str, str]) -> None:
 
 def cmd_features(args: argparse.Namespace) -> int:
     # read_svc checked the array; the identity fields are irrelevant here.
-    recording = _recording(1, 1, 1, read_svc(args.input, args.device), args.device)
+    samples = read_svc(args.input, args.device)
+    recording = _recording(1, 1, 1, samples, args.device, _features_of([samples], args.device)[0])
     try:
         fv = extract_features(recording, pen_down_only=args.pen_down_only)
     except ValueError as err:  # no pen-down sample under --pen-down-only

@@ -25,10 +25,11 @@ Missing files are legal; names :func:`recording_path` does not write are ignored
 (tokens with no ``+`` and no leading zeros, single spaces, LF line ends),
 formatted by :func:`_svc_bytes` from two tables of five-digit words.
 :func:`read_svc` hands a file's bytes, and :func:`parse_svc` its text in
-UTF-8, to :func:`_parse_vectorized`, which decodes well-formed text a word
-at a time: each token's value comes from the 8 bytes that end at it.  Any
-other text goes to :func:`_parse_lines`, which reports the first fault in
-file order: a string and a file of the same content name the same line.
+UTF-8, to :func:`_parse_bytes`, which decodes well-formed text a word at a
+time (:func:`_parse_vectorized`): each token's value comes from the 8 bytes
+that end at it.  Any other text goes to :func:`_parse_lines`, which reports
+the first fault in file order: a string and a file of the same content name
+the same line.
 
 Every dataset-wide function forks over the CPUs with one subject's session
 as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
@@ -36,10 +37,9 @@ as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
 :func:`hwfatigue.synth.write_synthetic`; :func:`_fan_out` says how.  The
 results of a child reach the caller through one shared file that the
 caller maps once: a result kept from a child keeps that child's whole file,
-and a result of the caller's own units keeps only its own arrays.  A unit
-that builds recordings also computes their features
-(:func:`_pressure_features`) while it holds their samples, so
-:func:`hwfatigue.report.aggregate` reads no sample array.
+and a result of the caller's own units keeps only its own arrays.  Every
+recording carries its features from the moment it is built
+(:func:`_features_of`).
 
 One function, :func:`_sample_fault`, checks every sample array, and every
 array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
@@ -48,7 +48,8 @@ checks the caller's array; arrays the package builds and checks itself
 (parsed files, generated sessions, results mapped from a child) are
 wrapped by a private constructor without a copy or a second check.
 Likewise one function, :func:`_int_in`, checks each integer a caller passes
-in: a ceiling or saturation level, a recording id, a count, a seed, a flag.
+in: a ceiling or saturation level, a recording id, a count, a seed, a flag;
+and one, :func:`_real`, each real number: a significance level, an effect size.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ import ctypes
 import functools
 import itertools
 import mmap
+import numbers
 import os
 import pickle
 import re
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO, get_args
 
 import numpy as np
 
@@ -83,6 +85,10 @@ COL_AZIMUTH = 4
 COL_ALTITUDE = 5
 COL_PRESSURE = 6
 N_COLUMNS = 7
+
+# What every recording carries from the moment it is built (_features_of).
+FeatureName = Literal["saturation_ratio", "mean_pressure"]
+FEATURES = get_args(FeatureName)
 
 # The only bytes well-formed SVC text holds once CRLF is folded to LF, signs aside.
 _DIGITS_AND_BLANKS = b"0123456789 \t\n"
@@ -129,6 +135,14 @@ def _int_in(name: str, value, low: int | None = None, high: int | None = None) -
     return value
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a plain float.  ValueError naming ``name`` unless it is a
+    Python or numpy real number (a bool is not); its range is the caller's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class DeviceProfile:
     """The acquisition tablet's pressure ceiling: ``max_level`` is the
@@ -156,10 +170,10 @@ class Recording:
     properties below expose read-only column views.  The array is frozen at
     construction so recordings can be shared across threads.  The ids are
     integers: ``subject_id`` at least 1, ``session_id`` in :data:`SESSIONS`
-    and ``task_id`` in :data:`TASKS`.  Its features (:func:`_pressure_features`)
-    are computed once, when it is built, and kept in a private attribute.
-    Two recordings are equal when their keys, devices and samples are; the
-    features follow from those and are not compared.
+    and ``task_id`` in :data:`TASKS`.  It carries its features in a private
+    attribute (:func:`_features_of`).  Two recordings are equal when their
+    keys, devices and samples are; the features follow from those and are
+    not compared.
     """
 
     subject_id: int
@@ -176,13 +190,13 @@ class Recording:
         arr = _checked_rows(self.samples, self.device.max_level, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "_features", _features_of(arr, self.device))
+        object.__setattr__(self, "_features", _features_of([arr], self.device)[0])
 
     def __reduce__(self):
         # Only a user's pickle comes here.  The key and array were checked when built;
         # unpickling freezes the array again, which pickle would restore writable,
-        # and computes the features again.
-        return _recording, (*self.key, self.samples, self.device)
+        # and keeps the features carried.
+        return _recording, (*self.key, self.samples, self.device, self._features)
 
     def __eq__(self, other):
         if not isinstance(other, Recording):
@@ -309,14 +323,11 @@ def _sample_fault(block: np.ndarray, max_level: int) -> tuple[int, int, str] | N
 
 
 def _recording(subject_id: int, session_id: int, task_id: int, samples: np.ndarray,
-               device: DeviceProfile, features: dict[str, float] | None = None) -> Recording:
+               device: DeviceProfile, features: dict[str, float]) -> Recording:
     """Private constructor for a key from the layout's name maps, the generation
-    loops or an existing recording, and an (N, 7) int64 array that has passed
-    :func:`_sample_fault`: freezes ``samples`` in place, checks nothing.
-    ``features`` are those :func:`_pressure_features` gave for ``samples``
-    under ``device``; they are computed here when not given."""
-    if features is None:
-        features = _features_of(samples, device)
+    loops or an existing recording, an (N, 7) int64 array that has passed
+    :func:`_sample_fault` and its :func:`_features_of` under ``device``:
+    freezes ``samples`` in place, checks and computes nothing."""
     recording = object.__new__(Recording)
     vars(recording).update(subject_id=subject_id, session_id=session_id, task_id=task_id,
                            samples=samples, device=device, _features=features)
@@ -324,21 +335,48 @@ def _recording(subject_id: int, session_id: int, task_id: int, samples: np.ndarr
     return recording
 
 
-def _pressure_features(pressures, device: DeviceProfile) -> list[dict[str, float]]:
-    """Every feature of :data:`hwfatigue.features.FEATURES` for each of the k
-    equally long rows of ``pressures``, under ``device``'s ceiling: one
-    :func:`hwfatigue.features.feature_of_rows` call per feature, and one dict
-    per row mapping each feature's name to its value."""
-    from . import features  # here, not at the top: features imports this module
-
-    columns = [features.feature_of_rows(name, pressures, device.max_level).tolist()
-               for name in features.FEATURES]
-    return [dict(zip(features.FEATURES, row)) for row in zip(*columns)]
+def _check_feature(feature: str) -> str:
+    """``feature`` if it is one of :data:`FEATURES`; ValueError otherwise."""
+    if feature not in FEATURES:
+        raise ValueError(f"unknown feature {feature!r}, expected one of {FEATURES}")
+    return feature
 
 
-def _features_of(samples: np.ndarray, device: DeviceProfile) -> dict[str, float]:
-    """:func:`_pressure_features` of one recording's ``samples``."""
-    return _pressure_features(samples[None, :, COL_PRESSURE], device)[0]
+def feature_of_rows(feature: FeatureName, rows, level: int) -> np.ndarray:
+    """``feature`` of each of k equally long pressure ``rows`` as k floats.
+    Saturation compares each row as given (a float row is never cast to
+    int64) with the ceiling ``level`` as int64; the mean ignores ``level``."""
+    if feature == "saturation_ratio":
+        block = np.asarray(rows)
+        return np.count_nonzero(block >= np.int64(level), axis=1) / block.shape[1]
+    return np.array(rows, dtype=np.float64).mean(axis=1)
+
+
+def _features_of(arrays: Sequence[np.ndarray], device: DeviceProfile) -> list[dict[str, float]]:
+    """The features of each (N, 7) array of ``arrays``, one dict per array
+    from each name of :data:`FEATURES` to its value.  The saturation ratio is
+    the fraction of pressures at or above ``device.max_level`` (the applied
+    force met what the sensor can represent); the mean pressure is in device
+    levels.  The kernel :func:`feature_of_rows` runs once per feature on each
+    group of equally long arrays: its mean reduces a C-contiguous float64
+    block along the rows, which gives each row the bits of its 1-d ``mean``
+    (an int64 block's ``mean(axis=1)`` sums in buffers of 8192 values).
+
+    Every builder calls this once while it holds the samples: a load or
+    generate unit on its session, ``Recording(...)``,
+    :func:`hwfatigue.synth.generate_recording` and the ``features`` command on
+    their one array, and :func:`hwfatigue.features.extract_features` on a
+    pen-down subset.  A recording carries the result, unpickling keeps it and
+    :func:`hwfatigue.report.aggregate` only collects it."""
+    values = [None] * len(arrays)
+    for n in set(map(len, arrays)):
+        group = [i for i, samples in enumerate(arrays) if len(samples) == n]
+        pressures = np.array([arrays[i][:, COL_PRESSURE] for i in group])
+        columns = [feature_of_rows(name, pressures, device.max_level).tolist()
+                   for name in FEATURES]
+        for i, row in zip(group, zip(*columns)):
+            values[i] = dict(zip(FEATURES, row))
+    return values
 
 
 def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> np.ndarray:
@@ -355,10 +393,13 @@ def parse_svc(source: str | TextIO, device: DeviceProfile = DeviceProfile()) -> 
 
     Blank lines are ignored (the canonical writer emits none).  Tokens are
     separated by spaces or tabs; lines end in LF or CRLF.  ValueError unless
-    ``device`` is a :class:`DeviceProfile`.
+    ``device`` is a :class:`DeviceProfile`, and unless ``source`` is text
+    (bytes are not: :func:`read_svc` reads a file's bytes).
     """
     _check_device(device)
     text = source.read() if hasattr(source, "read") else source
+    if not isinstance(text, str):
+        raise ValueError(f"source must be a string or a text file, got {type(text).__name__}")
     return _parse_bytes(text.encode("utf-8", "surrogatepass"), device)
 
 
@@ -663,15 +704,14 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
     line; with several malformed files it is the first in walk order.
     Session directories are read in parallel (see the module docstring).
 
-    Each process parses its sessions' files and computes each recording's
-    features while it holds the arrays (:func:`_read_session`); the caller
-    wraps the arrays and features as recordings that share ``device``, as
-    with :func:`hwfatigue.synth.generate_dataset`, and
-    :func:`hwfatigue.report.aggregate` later reads the features alone.  A
-    forked child's arrays come back as read-only views of one mapping of its
-    shared file: one recording kept from a child keeps every session that
-    child read, until the last of them is dropped, and one kept from the
-    caller's own sessions keeps only its own array (see :func:`_fan_out`).
+    Each process parses its sessions' files and computes their features
+    (:func:`_read_session`); the caller wraps the arrays and features as
+    recordings that share ``device``, as with
+    :func:`hwfatigue.synth.generate_dataset`.  A forked child's arrays come
+    back as read-only views of one mapping of its shared file: one recording
+    kept from a child keeps every session that child read, until the last of
+    them is dropped, and one kept from the caller's own sessions keeps only
+    its own array (see :func:`_fan_out`).
     ValueError before the walk unless ``device`` is a :class:`DeviceProfile`.
     """
     _check_device(device)
@@ -709,17 +749,10 @@ def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
 
 def _read_session(files: list[tuple[tuple[int, int, int], Path]], device: DeviceProfile
                   ) -> tuple[list[np.ndarray], list[dict[str, float]]]:
-    """:func:`read_svc` of each file of one session, in order: checked arrays,
-    and their features, computed while the arrays are fresh in cache by one
-    :func:`_pressure_features` call per group of equally long files."""
+    """:func:`read_svc` of each file of one session, in order, and the
+    arrays' :func:`_features_of`."""
     arrays = [read_svc(path, device) for _, path in files]
-    values = [None] * len(arrays)
-    for n in set(map(len, arrays)):
-        group = [i for i, samples in enumerate(arrays) if len(samples) == n]
-        pressures = np.array([arrays[i][:, COL_PRESSURE] for i in group])
-        for i, row in zip(group, _pressure_features(pressures, device)):
-            values[i] = row
-    return arrays, values
+    return arrays, _features_of(arrays, device)
 
 
 def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:

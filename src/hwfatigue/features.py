@@ -1,37 +1,23 @@
 """Per-recording features: pressure saturation, mean pressure, discrete speed.
 
-The saturation ratio is the fraction of pressure samples at or above the
-sensor ceiling; a saturated sample means the true applied force met or
-exceeded what the device can represent.  The device enters only through
-that ceiling (``DeviceProfile.max_level``); pressures stay device levels and
-are never converted to physical units.  Speed is the first difference of a
-coordinate series with a unit (one sample interval) denominator.
+The saturation ratio and the mean pressure are the features every recording
+carries, and their rules live with the recordings
+(:func:`hwfatigue.data._features_of`); this module's scalar functions run
+the same kernel, :func:`feature_of_rows`.  Speed is the first difference of
+a coordinate series with a unit (one sample interval) denominator.
 
 By default every feature runs over the full sample vector, pen-up events
 included; pass ``pen_down_only=True`` to restrict to surface contact.
-
-Each per-recording rule exists once, in the kernel :func:`feature_of_rows`
-over k equally long rows.  Its mean reduces a C-contiguous float64 block
-along the rows, which gives each row the bits of its 1-d ``mean``; an int64
-block would not, as ``mean(axis=1)`` sums it in buffers of 8192 values.
-
-Every recording's saturation ratio and mean pressure are computed by that
-kernel once, when its samples are built: a :func:`hwfatigue.data.load_dataset`
-or :func:`hwfatigue.synth.generate_dataset` unit runs it on each group of
-equally long recordings it holds, and ``Recording(...)``, unpickling,
-:func:`hwfatigue.synth.generate_recording` and the ``features`` command on
-their one row.  :func:`hwfatigue.report.aggregate` only collects the values,
-and :func:`extract_features` computes only a pen-down subset's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, get_args
 
 import numpy as np
 
-from .data import COL_X, COL_Y, MAX_PRESSURE_LEVEL, Recording, _features_of, _int_in
+from .data import (COL_X, COL_Y, FEATURES, MAX_PRESSURE_LEVEL, FeatureName, Recording,
+                   _features_of, _int_in, feature_of_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,27 +29,6 @@ class FeatureVector:
     n_samples: int
     speed_x: np.ndarray
     speed_y: np.ndarray
-
-
-FeatureName = Literal["saturation_ratio", "mean_pressure"]
-FEATURES = get_args(FeatureName)
-
-
-def _check_feature(feature: str) -> str:
-    """``feature`` if it is one of :data:`FEATURES`; ValueError otherwise."""
-    if feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}, expected one of {FEATURES}")
-    return feature
-
-
-def feature_of_rows(feature: FeatureName, rows, level: int) -> np.ndarray:
-    """``feature`` of each of k equally long pressure ``rows`` as k floats.
-    Saturation compares each row as given (a float row is never cast to
-    int64) with the ceiling ``level`` as int64; the mean ignores ``level``."""
-    if feature == "saturation_ratio":
-        block = np.asarray(rows)
-        return np.count_nonzero(block >= np.int64(level), axis=1) / block.shape[1]
-    return np.array(rows, dtype=np.float64).mean(axis=1)
 
 
 def _series(values) -> np.ndarray:
@@ -126,7 +91,7 @@ def extract_features(recording: Recording, pen_down_only: bool = False) -> Featu
         if not mask.any():
             raise ValueError("recording has no pen-down samples")
         samples = recording.samples[mask]
-        values = _features_of(samples, recording.device)
+        values = _features_of([samples], recording.device)[0]
     else:
         samples, values = recording.samples, recording._features
     x, y = samples[:, COL_X], samples[:, COL_Y]

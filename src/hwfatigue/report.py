@@ -16,10 +16,8 @@ takes that document and only formats its rows (RFC-4180, LF endings; table1
 rounded to integers, table2 to three decimals).  Every number is
 recomputable from the ``values`` list of the underlying cell.
 
-:func:`aggregate` computes no feature and reads no sample: each recording
-carries its features from the moment it is built (the load and generate
-units compute them with :func:`hwfatigue.features.feature_of_rows` while
-they hold the samples), and :func:`aggregate` only collects them per cell.
+:func:`aggregate` computes no feature and reads no sample: it collects per
+cell the features each recording carries (:func:`hwfatigue.data._features_of`).
 Cells holding equally many values are stacked for their mean and std, row
 by row as in that kernel, so every value keeps the bits of its 1-d reduction.
 """
@@ -28,14 +26,12 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import features
-from .data import Dataset, SESSIONS, TASKS
+from .data import Dataset, FeatureName, SESSIONS, TASKS, _check_feature, _real
 from .stats import SESSION_PAIRS, TestResult
 
 SCHEMA_VERSION = 1
@@ -80,7 +76,7 @@ def _summaries(collected: dict[tuple[int, int], list[float]]
 class FeatureGrid:
     """All 45 (task, session) summaries for one feature."""
 
-    feature: features.FeatureName
+    feature: FeatureName
     cells: dict[tuple[int, int], SessionTaskSummary]
 
     def cell(self, task_id: int, session_id: int) -> SessionTaskSummary:
@@ -90,14 +86,14 @@ class FeatureGrid:
         return {key: summary.values for key, summary in self.cells.items()}
 
 
-def aggregate(dataset: Dataset, feature: features.FeatureName) -> FeatureGrid:
+def aggregate(dataset: Dataset, feature: FeatureName) -> FeatureGrid:
     """Collect the feature per (task, session) over all subjects present.
 
     Values are ordered by subject id.  Cells with no recordings yield n = 0
     summaries; a session a subject skipped is simply absent from that cell.
     Each value is the one its recording computed when it was built.
     """
-    features._check_feature(feature)
+    _check_feature(feature)
     if len(dataset) == 0:
         raise ValueError("cannot aggregate an empty dataset")
     collected: dict[tuple[int, int], list[float]] = {
@@ -149,13 +145,12 @@ def render_table1_json(grid: FeatureGrid) -> dict:
 
 
 def _check_alpha(alpha: float) -> float:
-    """``alpha`` if it is a real number in (0, 1); ValueError naming
-    ``alpha`` otherwise, NaN and a string included."""
-    if not isinstance(alpha, numbers.Real):
-        raise ValueError(f"alpha must be a number, got {alpha!r}")
-    if not 0.0 < alpha < 1.0:
+    """``alpha`` as a plain float if it is a real number in (0, 1);
+    ValueError naming ``alpha`` otherwise, NaN and a string included."""
+    value = _real("alpha", alpha)
+    if not 0.0 < value < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
+    return value
 
 
 def significant_labels(row: dict) -> list[str]:
@@ -184,7 +179,7 @@ def render_table2_csv(doc: dict) -> str:
 def render_table2_json(results: list[TestResult], alpha: float = DEFAULT_ALPHA) -> dict:
     """Pairwise p-values at full precision, ``significant`` below ``alpha``;
     ValueError for an ``alpha`` outside (0, 1) or NaN, before any rendering."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     by_cell = {(r.task_id, r.session_a, r.session_b): r for r in results}
     labels = [f"S{a}-S{b}" for a, b in SESSION_PAIRS]
     out_rows = []

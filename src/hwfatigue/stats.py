@@ -40,7 +40,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .data import SESSIONS, _fan_out, _int_in
+from .data import SESSIONS, TASKS, _fan_out, _int_in
 
 # Maximum pooled size for which the exact distribution is used by default.
 DEFAULT_EXACT_THRESHOLD = 25
@@ -226,9 +226,16 @@ def pairwise_session_tests(
     :func:`hwfatigue.data._fan_out`; below it they run in the calling
     process.  Either way the results, the warnings and the error raised
     (the first failing test in output order) are those of a one-process
-    loop, whatever the process count.  A bad ``exact_threshold`` is refused first.
+    loop, whatever the process count.  A bad ``exact_threshold`` is refused
+    first, then the first key (in sorted order) whose task is not in
+    :data:`TASKS` or whose session is not in :data:`SESSIONS`.
     """
     exact_threshold = _check_exact_threshold(exact_threshold)
+    outside = next((key for key in sorted(values_by_cell)
+                    if key[0] not in TASKS or key[1] not in SESSIONS), None)
+    if outside is not None:
+        raise ValueError(f"cell {outside} lies outside the layout: tasks {TASKS}, "
+                         f"sessions {SESSIONS}")
     pairs = []  # (task, session_a, session_b, values_a, values_b) in output order
     skipped = 0
     for task in sorted({task for task, _ in values_by_cell}):

@@ -41,13 +41,13 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
                    COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS,
-                   _check_device, _check_subject_ids, _fan_out, _int_in, _pressure_features,
+                   _check_device, _check_subject_ids, _fan_out, _features_of, _int_in, _real,
                    _recording, _sample_fault, _write_session)
 
 _PRESSURE_MEAN = 600.0
@@ -62,9 +62,9 @@ _ALTITUDE_BASE, _ALTITUDE_SD = 600, 20.0
 
 def _per_task(name: str, value: float | Mapping[int, float]) -> dict[int, float]:
     if isinstance(value, Mapping):
-        return {_int_in(f"{name} task", t, TASKS[0], TASKS[-1]): float(v)
-                for t, v in value.items()}
-    return {t: float(value) for t in TASKS}
+        return {(task := _int_in(f"{name} task", t, TASKS[0], TASKS[-1])):
+                _real(f"{name}[{task}]", v) for t, v in value.items()}
+    return dict.fromkeys(TASKS, _real(name, value))
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ class SynthConfig:
     """Shape and effect sizes of a synthetic dataset.
 
     ``base_saturation`` and ``fatigue_multiplier`` accept either a single
-    float applied to all nine tasks or a per-task mapping.  The counts, the
+    real number applied to all nine tasks or a per-task mapping, and are
+    stored as plain floats; a string or a bool is refused.  The counts, the
     seed and every session or task id must be integers; a numpy integer is
     stored as a plain int.
     """
@@ -92,8 +93,11 @@ class SynthConfig:
         for name, low in (("n_subjects", 1), ("samples_per_recording", 1), ("seed", None)):
             object.__setattr__(self, name, _int_in(name, getattr(self, name), low))
         for name, ids in (("fatigue_sessions", SESSIONS), ("high_variation_tasks", TASKS)):
+            given = getattr(self, name)
+            if not isinstance(given, Iterable):
+                raise ValueError(f"{name} must be a collection of ids, got {given!r}")
             object.__setattr__(self, name, frozenset(_int_in(name, i, ids[0], ids[-1])
-                                                     for i in getattr(self, name)))
+                                                     for i in given))
         _check_device(self.device)
         for name in ("base_saturation", "fatigue_multiplier"):
             object.__setattr__(self, name, _per_task(name, getattr(self, name)))
@@ -260,7 +264,8 @@ def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
     task_id = _int_in("task_id", task_id, TASKS[0], TASKS[-1])
     means = _draw_means((task_id,), config.samples_per_recording)
     block = _checked_samples(config, means, (task_id,), (subject_id, session_id))
-    return _recording(subject_id, session_id, task_id, block[0], config.device)
+    return _recording(subject_id, session_id, task_id, block[0], config.device,
+                      _features_of(block, config.device)[0])
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
@@ -269,13 +274,12 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     :func:`hwfatigue.data.write_dataset`.
 
     Each recording's ``samples`` is a read-only view of its session's
-    (9, n, 7) block.  The process that draws a session also computes its
-    nine recordings' features (:func:`_generated_session`), which
-    :func:`hwfatigue.report.aggregate` reads instead of the samples.  A
-    block a forked child drew lies in that child's one shared mapping, so
-    one recording kept from it keeps the child's whole file, every session
-    it drew; one kept from the caller's own sessions keeps only its
-    session's nine arrays (see :func:`hwfatigue.data._fan_out`).
+    (9, n, 7) block, and the process that draws a session also computes its
+    features (:func:`_generated_session`).  A block a forked child drew lies
+    in that child's one shared mapping, so one recording kept from it keeps
+    the child's whole file, every session it drew; one kept from the
+    caller's own sessions keeps only its session's nine arrays (see
+    :func:`hwfatigue.data._fan_out`).
     """
     means = _draw_means(TASKS, config.samples_per_recording)
     sessions = _sessions(config)
@@ -287,11 +291,10 @@ def generate_dataset(config: SynthConfig) -> Dataset:
 
 def _generated_session(config: SynthConfig, means: np.ndarray, session: tuple[int, int]
                        ) -> tuple[np.ndarray, list[dict[str, float]]]:
-    """One session's :func:`_checked_samples` block and the features of its
-    nine recordings, one :func:`hwfatigue.data._pressure_features` call on
-    the block's pressures."""
+    """One session's :func:`_checked_samples` block and its
+    :func:`hwfatigue.data._features_of`."""
     block = _checked_samples(config, means, TASKS, session)
-    return block, _pressure_features(block[..., COL_PRESSURE], config.device)
+    return block, _features_of(block, config.device)
 
 
 def write_synthetic(config: SynthConfig, root: Path | str) -> list[Path]:

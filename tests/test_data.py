@@ -78,6 +78,13 @@ class TestParseSvc:
         samples = parse_svc(io.StringIO(VALID_TEXT))
         assert samples.shape == (2, 7)
 
+    @pytest.mark.parametrize("source", [
+        VALID_TEXT.encode(), bytearray(VALID_TEXT.encode()), io.BytesIO(VALID_TEXT.encode())],
+        ids=["bytes", "bytearray", "binary file"])
+    def test_refuses_a_source_that_is_not_text(self, source):
+        with pytest.raises(ValueError, match="^source must be a string or a text file, got "):
+            parse_svc(source)
+
     def test_count_mismatch_extra_line(self):
         text = "1\n10 20 0 1 0 0 500\n10 20 5 1 0 0 400\n"
         with pytest.raises(SvcParseError, match="mismatch"):

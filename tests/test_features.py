@@ -52,6 +52,13 @@ def test_integer_series_is_not_searched_for_nan(monkeypatch):
     assert fv.n_samples == 3 and fv.speed_x.dtype == np.float64
 
 
+def patch_kernel(monkeypatch, kernel):
+    """Replace the one feature kernel by ``kernel`` under both of its module names."""
+    assert data.feature_of_rows is features.feature_of_rows
+    for module in (data, features):
+        monkeypatch.setattr(module, "feature_of_rows", kernel)
+
+
 def test_every_feature_path_runs_the_one_kernel(monkeypatch, tmp_path, capsys):
     class KernelRan(Exception):
         pass
@@ -60,20 +67,19 @@ def test_every_feature_path_runs_the_one_kernel(monkeypatch, tmp_path, capsys):
         raise KernelRan
 
     # The builders compute every recording's features; aggregate only reads them,
-    # and extract_features computes only a pen-down subset's.
+    # unpickling keeps them, and extract_features computes only a pen-down subset's.
     config = SynthConfig(n_subjects=2, samples_per_recording=20)
     recording = generate_recording(config, 1, 1, 1)
     path = recording_path(tmp_path, *recording.key)
     path.parent.mkdir(parents=True)
     path.write_text(serialize_svc(recording.samples))
     monkeypatch.setattr(data, "_process_count", lambda: 1)  # the kernel runs in this process
-    monkeypatch.setattr(features, "feature_of_rows", kernel)
+    patch_kernel(monkeypatch, kernel)
     calls = [
         partial(generate_dataset, config),
         partial(load_dataset, tmp_path),
         partial(generate_recording, config, 1, 1, 1),
         partial(Recording, *recording.key, recording.samples),
-        partial(pickle.loads, pickle.dumps(recording)),
         partial(saturation_ratio, recording.pressure, 1023),
         partial(mean_pressure, recording.pressure),
         partial(extract_features, recording, pen_down_only=True),
@@ -85,10 +91,20 @@ def test_every_feature_path_runs_the_one_kernel(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_unpickled_recording_runs_no_kernel_and_keeps_its_features(monkeypatch):
+    recording = generate_recording(SynthConfig(n_subjects=1, samples_per_recording=50), 1, 4, 2)
+    pickled = pickle.dumps(recording)
+    patch_kernel(monkeypatch, pytest.fail)
+    copy = pickle.loads(pickled)
+    assert copy == recording and not copy.samples.flags.writeable
+    assert ({name: value.hex() for name, value in copy._features.items()}
+            == {name: value.hex() for name, value in recording._features.items()})
+
+
 def test_full_series_features_are_the_carried_values(monkeypatch):
     recording = make_recording(pressures=(1023, 5, 700, 1023))
     carried = dict(recording._features)
-    monkeypatch.setattr(features, "feature_of_rows", pytest.fail)
+    patch_kernel(monkeypatch, pytest.fail)
     fv = extract_features(recording)
     assert {"saturation_ratio": fv.saturation_ratio, "mean_pressure": fv.mean_pressure} == carried
     assert fv.n_samples == 4 and fv.speed_x.tolist() == [3.0, 3.0, 3.0]

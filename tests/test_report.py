@@ -2,6 +2,7 @@ import csv
 import hashlib
 from collections import Counter
 import io
+import json
 import math
 import re
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwfatigue import cli, data, features, report
+from hwfatigue import cli, data, report
 from hwfatigue.cli import analyze_dataset
 from hwfatigue.data import SESSIONS, TASKS, Dataset, DeviceProfile, Recording, load_dataset
 from hwfatigue.features import FEATURES, extract_features
@@ -24,6 +25,7 @@ from hwfatigue.synth import SynthConfig, generate_dataset, write_synthetic
 from oracles import aggregate_by_recording, feature_by_recording, mean_by_summation
 
 from test_data import make_recording
+from test_features import patch_kernel
 
 
 def parse_csv(text):
@@ -144,7 +146,7 @@ class TestAggregate:
     def test_unknown_feature_rejected(self, monkeypatch):
         # aggregate refuses before its loop, even on an empty dataset.
         datasets = (Dataset(), small_dataset())
-        monkeypatch.setattr(features, "feature_of_rows", pytest.fail)
+        patch_kernel(monkeypatch, pytest.fail)
         for dataset in datasets:
             with pytest.raises(ValueError, match="^unknown feature 'speed', expected one of "):
                 aggregate(dataset, "speed")
@@ -177,7 +179,7 @@ class TestAggregate:
         write_synthetic(config, tmp_path)
         datasets = [generate_dataset(config), load_dataset(tmp_path)]
         expected = {feature: aggregate_by_recording(datasets[0], feature) for feature in FEATURES}
-        monkeypatch.setattr(features, "feature_of_rows", pytest.fail)
+        patch_kernel(monkeypatch, pytest.fail)
         for name in ("samples", "pressure"):
             monkeypatch.setattr(Recording, name, property(pytest.fail), raising=False)
         for dataset in datasets:
@@ -286,6 +288,15 @@ class TestTable2:
                        rf"got {re.escape(repr(alpha))}$")
             with pytest.raises(ValueError, match=message):
                 render_table2_json(results, alpha=alpha)
+
+    def test_numpy_alpha_is_a_plain_float(self):
+        dataset = small_dataset(n_subjects=3)
+        outputs = analyze_dataset(dataset, alpha=0.05)[0]
+        assert analyze_dataset(dataset, alpha=np.float64(0.05))[0] == outputs
+        table2 = json.loads(analyze_dataset(dataset, alpha=np.float32(0.05))[0]["table2.json"])
+        assert table2["alpha"] == float(np.float32(0.05))
+        doc = render_table2_json(grid_results(dataset)[1], alpha=np.float64(0.05))
+        assert type(doc["alpha"]) is float
 
     def test_missing_pair_left_empty(self):
         _, results = grid_results(small_dataset(n_subjects=3))

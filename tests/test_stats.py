@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import warnings
 
 import numpy as np
@@ -314,6 +315,15 @@ class TestPairwiseSessionTests:
         with pytest.warns(UserWarning):
             results = pairwise_session_tests(cells)
         assert len(results) == 6
+
+    @pytest.mark.parametrize("outside, first", [
+        ({(10, 1), (10, 2)}, "(10, 1)"), ({(1, 7)}, "(1, 7)"), ({(0, 3), (2, 6)}, "(0, 3)")])
+    def test_cells_outside_the_layout_refused(self, monkeypatch, outside, first):
+        cells = self.full_grid(np.random.default_rng(36), tasks=[1, 2])
+        cells.update((key, [1.0, 2.0]) for key in outside)
+        monkeypatch.setattr(stats, "ranksum", pytest.fail)  # refused before any test
+        with pytest.raises(ValueError, match=f"^cell {re.escape(first)} lies outside the layout"):
+            pairwise_session_tests(cells)
 
     def test_identical_distributions_give_p_one(self):
         cells = {(1, s): [1.0, 2.0, 3.0] for s in range(1, 6)}

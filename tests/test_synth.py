@@ -74,6 +74,12 @@ class TestSynthConfig:
             SynthConfig(high_variation_tasks=frozenset({0}))
         with pytest.raises(ValueError, match=r"fatigue_multiplier task must lie in \[1, 9\]"):
             SynthConfig(fatigue_multiplier={t: 2.0 for t in range(1, 11)})
+        with pytest.raises(ValueError,
+                           match="^fatigue_sessions must be a collection of ids, got 4$"):
+            SynthConfig(fatigue_sessions=4)
+        with pytest.raises(ValueError,
+                           match="^high_variation_tasks must be a collection of ids, got None$"):
+            SynthConfig(high_variation_tasks=None)
 
     def test_rejects_incomplete_per_task_mapping(self):
         with pytest.raises(ValueError, match="missing"):
@@ -94,6 +100,16 @@ class TestSynthConfig:
     def test_integer_fields_refuse_other_types(self, field, value):
         # seed=1.0 would compare equal to seed=1 yet key other streams.
         with pytest.raises(ValueError, match=f"^{field}( task)? must be an integer, got "):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("base_saturation", "0.05", "base_saturation must be a number, got '0.05'"),
+        ("fatigue_multiplier", True, "fatigue_multiplier must be a number, got True"),
+        ("base_saturation", {t: "0.1" if t == 3 else 0.05 for t in range(1, 10)},
+         r"base_saturation\[3\] must be a number, got '0.1'"),
+    ])
+    def test_effect_sizes_refuse_other_types(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SynthConfig(**{field: value})
 
     def test_numpy_integer_fields_become_ints(self):
