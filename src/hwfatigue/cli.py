@@ -147,6 +147,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # A failed run must not leave the previous run's artifacts looking fresh.
     for name in ANALYZE_OUTPUTS:
         (outdir / name).unlink(missing_ok=True)
+    _remove_dead_temporaries(outdir)
     dataset = load_dataset(args.input, args.device)
     if len(dataset) == 0:
         raise DatasetError(f"no recordings found under {args.input}")
@@ -157,6 +158,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for line in summary:
         print(line)
     return 0
+
+
+def _remove_dead_temporaries(outdir: Path) -> None:
+    """Remove each temporary of :func:`_write_outputs` in ``outdir``,
+    ``.<name>.<pid>.tmp``, whose process is gone: a run killed between its
+    writes leaves one behind.  Every other file stays."""
+    for name in ANALYZE_OUTPUTS:
+        for path in outdir.glob(f".{name}.*.tmp"):
+            pid = path.name[len(name) + 2:-len(".tmp")]
+            if pid.isascii() and pid.isdigit() and _process_gone(int(pid)):
+                path.unlink(missing_ok=True)
+
+
+def _process_gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):  # another user's process, or no pid at all
+        pass
+    return False
 
 
 def _write_outputs(outdir: Path, outputs: dict[str, str]) -> None:

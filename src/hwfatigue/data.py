@@ -37,9 +37,11 @@ as the unit of work: :func:`write_dataset`, :func:`load_dataset`,
 :func:`hwfatigue.synth.write_synthetic`; :func:`_fan_out` says how.  The
 results of a child reach the caller through one shared file that the
 caller maps once: a result kept from a child keeps that child's whole file,
-and a result of the caller's own units keeps only its own arrays.  Every
-recording carries its features from the moment it is built
-(:func:`_features_of`).
+and a result of the caller's own units keeps only its own arrays.  One
+builder, :func:`_dataset`, makes the recordings of every loaded or
+generated dataset, and of :func:`hwfatigue.synth.generate_recording`, from
+a unit that reads or draws one session; every recording carries its
+features from the moment it is built (:func:`_features_of`).
 
 One function, :func:`_sample_fault`, checks every sample array, and every
 array a :class:`Recording` holds has passed it once.  :func:`parse_svc`
@@ -257,6 +259,8 @@ class Dataset:
                 self.add(rec)
 
     def add(self, recording: Recording) -> None:
+        if not isinstance(recording, Recording):
+            raise DatasetError(f"a dataset holds recordings, got {recording!r}")
         if recording.key in self._recordings:
             raise DatasetError(f"duplicate recording for key {recording.key}")
         self._recordings[recording.key] = recording
@@ -324,10 +328,10 @@ def _sample_fault(block: np.ndarray, max_level: int) -> tuple[int, int, str] | N
 
 def _recording(subject_id: int, session_id: int, task_id: int, samples: np.ndarray,
                device: DeviceProfile, features: dict[str, float]) -> Recording:
-    """Private constructor for a key from the layout's name maps, the generation
-    loops or an existing recording, an (N, 7) int64 array that has passed
-    :func:`_sample_fault` and its :func:`_features_of` under ``device``:
-    freezes ``samples`` in place, checks and computes nothing."""
+    """Private constructor for a key from a :func:`_dataset` unit, the
+    ``features`` command or an existing recording, an (N, 7) int64 array
+    that has passed :func:`_sample_fault` and its :func:`_features_of` under
+    ``device``: freezes ``samples`` in place, checks and computes nothing."""
     recording = object.__new__(Recording)
     vars(recording).update(subject_id=subject_id, session_id=session_id, task_id=task_id,
                            samples=samples, device=device, _features=features)
@@ -362,11 +366,11 @@ def _features_of(arrays: Sequence[np.ndarray], device: DeviceProfile) -> list[di
     block along the rows, which gives each row the bits of its 1-d ``mean``
     (an int64 block's ``mean(axis=1)`` sums in buffers of 8192 values).
 
-    Every builder calls this once while it holds the samples: a load or
-    generate unit on its session, ``Recording(...)``,
-    :func:`hwfatigue.synth.generate_recording` and the ``features`` command on
-    their one array, and :func:`hwfatigue.features.extract_features` on a
-    pen-down subset.  A recording carries the result, unpickling keeps it and
+    Every builder calls this once while it holds the samples:
+    :func:`_dataset` on each session, in the process that read or drew it,
+    ``Recording(...)`` and the ``features`` command on their one array, and
+    :func:`hwfatigue.features.extract_features` on a pen-down subset.  A
+    recording carries the result, unpickling keeps it and
     :func:`hwfatigue.report.aggregate` only collects it."""
     values = [None] * len(arrays)
     for n in set(map(len, arrays)):
@@ -702,27 +706,38 @@ def load_dataset(root: Path | str, device: DeviceProfile = DeviceProfile()) -> D
     not match it are ignored, missing cells are legal.  A malformed file
     aborts the whole load with a :class:`SvcParseError` naming its path and
     line; with several malformed files it is the first in walk order.
-    Session directories are read in parallel (see the module docstring).
-
-    Each process parses its sessions' files and computes their features
-    (:func:`_read_session`); the caller wraps the arrays and features as
-    recordings that share ``device``, as with
-    :func:`hwfatigue.synth.generate_dataset`.  A forked child's arrays come
-    back as read-only views of one mapping of its shared file: one recording
-    kept from a child keeps every session that child read, until the last of
-    them is dropped, and one kept from the caller's own sessions keeps only
-    its own array (see :func:`_fan_out`).
+    :func:`_dataset` builds the recordings, one session directory per unit
+    (:func:`_read_session`), so they share ``device`` and keep memory as
+    its docstring says.
     ValueError before the walk unless ``device`` is a :class:`DeviceProfile`.
     """
     _check_device(device)
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root is not a directory: {root}")
-    sessions = _session_files(root)
-    read = _fan_out(functools.partial(_read_session, device=device), sessions)
+    return _dataset(_session_files(root), functools.partial(_read_session, device=device),
+                    device)
+
+
+def _dataset(sessions: Sequence, unit: Callable, device: DeviceProfile) -> Dataset:
+    """The recordings of every session of ``sessions``: the one builder of
+    :func:`load_dataset`, :func:`hwfatigue.synth.generate_dataset` and
+    :func:`hwfatigue.synth.generate_recording`.  ``unit(session)`` returns
+    the session's keys and their checked (N, 7) int64 arrays, a list or one
+    (k, n, 7) block; the process that ran it computes their
+    :func:`_features_of`, and the caller wraps each array as a recording
+    under the one ``device``.  The units go through :func:`_fan_out`: a
+    recording kept from a forked child's session is a read-only view of
+    that child's one shared mapping and keeps every session the child
+    built, and one kept from the caller's own keeps only its array or block.
+    """
+    def built(session):
+        keys, arrays = unit(session)
+        return keys, arrays, _features_of(arrays, device)
+
     return Dataset(_recording(*key, samples, device, values)
-                   for files, (arrays, session_values) in zip(sessions, read)
-                   for (key, _), samples, values in zip(files, arrays, session_values))
+                   for keys, arrays, features in _fan_out(built, sessions)
+                   for key, samples, values in zip(keys, arrays, features))
 
 
 def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
@@ -748,11 +763,9 @@ def _session_files(root: Path) -> list[list[tuple[tuple[int, int, int], Path]]]:
 
 
 def _read_session(files: list[tuple[tuple[int, int, int], Path]], device: DeviceProfile
-                  ) -> tuple[list[np.ndarray], list[dict[str, float]]]:
-    """:func:`read_svc` of each file of one session, in order, and the
-    arrays' :func:`_features_of`."""
-    arrays = [read_svc(path, device) for _, path in files]
-    return arrays, _features_of(arrays, device)
+                  ) -> tuple[list[tuple[int, int, int]], list[np.ndarray]]:
+    """The keys of one session's files and :func:`read_svc` of each, in order."""
+    return [key for key, _ in files], [read_svc(path, device) for _, path in files]
 
 
 def write_dataset(dataset: Dataset, root: Path | str) -> list[Path]:
@@ -801,6 +814,8 @@ def _process_count() -> int:
 
 def _fan_out(fn: Callable, chunks: Sequence) -> list:
     """``[fn(chunk) for chunk in chunks]``, spread over one process per CPU.
+    Fewer than two chunks run in the calling process without counting the
+    CPUs, so building one recording never imports ``multiprocessing``.
 
     With ``n = min(CPUs, len(chunks))`` processes, the calling process runs
     chunk 0 and forked child ``k`` runs chunk ``k``; then each claims the
@@ -831,7 +846,7 @@ def _fan_out(fn: Callable, chunks: Sequence) -> list:
     the children only draw random numbers, parse, format, count rank sums
     and do file I/O, make no BLAS call, and leave through ``os._exit``.
     """
-    n = min(_process_count(), len(chunks))
+    n = min(_process_count(), len(chunks)) if len(chunks) > 1 else 1
     if n <= 1:
         return [fn(chunk) for chunk in chunks]
     import multiprocessing

@@ -21,34 +21,34 @@ uniforms, then one (5, n) standard-normal block (base pressure, x, y,
 azimuth, altitude noise), scaled afterwards.  numpy's ``normal(loc, scale)``
 is ``loc + scale * standard_normal``: the same values as one ``normal`` call
 per channel.  ``generate_dataset`` draws one session (9 recordings) per call
-of the kernel and spreads sessions over processes like
-:func:`hwfatigue.data.write_dataset` does; the per-recording streams make the
-output the same for any process count.  :func:`write_synthetic` runs the
-same kernel, check and writer in one fan-out: the process that draws a
-session also writes its nine files, so no process holds more than one
-session's arrays and only paths come back to the caller.
+of the kernel; one draw unit (:func:`_drawn`) draws and checks a session,
+and :func:`hwfatigue.data._dataset` spreads the units over processes and
+builds the recordings.  The per-recording streams make the output the same
+for any process count.  :func:`write_synthetic` fans out the same unit and
+the writer: the process that draws a session also writes its nine files,
+so no process holds more than one session's arrays and only paths come
+back to the caller.
 
 Pressure model: each sample saturates (emits ``max_level``) with probability
 p_sat and otherwise draws round(N(600, 150)) clamped to [1, max_level - 1].
-p_sat is ``base_saturation[task]``, times ``fatigue_multiplier[task]`` when
-the session is a fatigue session and the task is high-variation, capped at 1.
+p_sat is ``base_saturation``, times ``fatigue_multiplier`` when the session
+is a fatigue session and the task is high-variation.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .data import (COL_ALTITUDE, COL_AZIMUTH, COL_PEN_STATUS, COL_PRESSURE, COL_TIMESTAMP,
                    COL_X, COL_Y, Dataset, DeviceProfile, Recording, SESSIONS, TASKS,
-                   _check_device, _check_subject_ids, _fan_out, _features_of, _int_in, _real,
-                   _recording, _sample_fault, _write_session)
+                   _check_device, _check_subject_ids, _dataset, _fan_out, _int_in, _real,
+                   _sample_fault, _write_session)
 
 _PRESSURE_MEAN = 600.0
 _PRESSURE_SD = 150.0
@@ -60,28 +60,20 @@ _AZIMUTH_BASE, _AZIMUTH_SD = 1800, 30.0
 _ALTITUDE_BASE, _ALTITUDE_SD = 600, 20.0
 
 
-def _per_task(name: str, value: float | Mapping[int, float]) -> dict[int, float]:
-    if isinstance(value, Mapping):
-        return {(task := _int_in(f"{name} task", t, TASKS[0], TASKS[-1])):
-                _real(f"{name}[{task}]", v) for t, v in value.items()}
-    return dict.fromkeys(TASKS, _real(name, value))
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     """Shape and effect sizes of a synthetic dataset.
 
-    ``base_saturation`` and ``fatigue_multiplier`` accept either a single
-    real number applied to all nine tasks or a per-task mapping, and are
-    stored as plain floats; a string or a bool is refused.  The counts, the
-    seed and every session or task id must be integers; a numpy integer is
-    stored as a plain int.
+    ``base_saturation`` and ``fatigue_multiplier`` are real numbers, the
+    same for every task, stored as plain floats; a string, a bool or a
+    mapping is refused.  The counts, the seed and every session or task id
+    must be integers; a numpy integer is stored as a plain int.
     """
 
     n_subjects: int = 21
     samples_per_recording: int = 2000
-    base_saturation: float | Mapping[int, float] = 0.05
-    fatigue_multiplier: float | Mapping[int, float] = 5.0
+    base_saturation: float = 0.05
+    fatigue_multiplier: float = 5.0
     fatigue_sessions: frozenset[int] = frozenset({4, 5})
     high_variation_tasks: frozenset[int] = frozenset({1, 2, 3, 5})
     seed: int = 0
@@ -99,33 +91,28 @@ class SynthConfig:
             object.__setattr__(self, name, frozenset(_int_in(name, i, ids[0], ids[-1])
                                                      for i in given))
         _check_device(self.device)
-        for name in ("base_saturation", "fatigue_multiplier"):
-            object.__setattr__(self, name, _per_task(name, getattr(self, name)))
-        for task in TASKS:
-            base = self.base_saturation.get(task)
-            mult = self.fatigue_multiplier.get(task)
-            if base is None or mult is None:
-                raise ValueError(f"task {task} missing from per-task configuration")
-            if not 0.0 <= base < 1.0:
-                raise ValueError(f"base_saturation[{task}] must be in [0, 1), got {base}")
-            if not 1.0 <= mult < math.inf:
-                raise ValueError(f"fatigue_multiplier[{task}] must be finite and >= 1, got {mult}")
-            if base * mult > 1.0:
-                raise ValueError(
-                    f"base_saturation[{task}] * fatigue_multiplier[{task}] exceeds 1")
+        base = _real("base_saturation", self.base_saturation)
+        mult = _real("fatigue_multiplier", self.fatigue_multiplier)
+        if not 0.0 <= base < 1.0:
+            raise ValueError(f"base_saturation must be in [0, 1), got {base}")
+        if not 1.0 <= mult < math.inf:
+            raise ValueError(f"fatigue_multiplier must be finite and >= 1, got {mult}")
+        if base * mult > 1.0:
+            raise ValueError("base_saturation * fatigue_multiplier exceeds 1")
+        object.__setattr__(self, "base_saturation", base)
+        object.__setattr__(self, "fatigue_multiplier", mult)
 
     def saturation_probability(self, session_id: int, task_id: int) -> float:
-        p = self.base_saturation[task_id]
         if session_id in self.fatigue_sessions and task_id in self.high_variation_tasks:
-            p *= self.fatigue_multiplier[task_id]
-        return min(1.0, p)
+            return self.base_saturation * self.fatigue_multiplier
+        return self.base_saturation
 
     def to_json_dict(self) -> dict:
         return {
             "n_subjects": self.n_subjects,
             "samples_per_recording": self.samples_per_recording,
-            "base_saturation": {str(t): self.base_saturation[t] for t in TASKS},
-            "fatigue_multiplier": {str(t): self.fatigue_multiplier[t] for t in TASKS},
+            "base_saturation": self.base_saturation,
+            "fatigue_multiplier": self.fatigue_multiplier,
             "fatigue_sessions": sorted(self.fatigue_sessions),
             "high_variation_tasks": sorted(self.high_variation_tasks),
             "seed": self.seed,
@@ -262,60 +249,41 @@ def generate_recording(config: SynthConfig, subject_id: int, session_id: int,
     subject_id = _int_in("subject_id", subject_id, 1, config.n_subjects)
     session_id = _int_in("session_id", session_id, SESSIONS[0], SESSIONS[-1])
     task_id = _int_in("task_id", task_id, TASKS[0], TASKS[-1])
-    means = _draw_means((task_id,), config.samples_per_recording)
-    block = _checked_samples(config, means, (task_id,), (subject_id, session_id))
-    return _recording(subject_id, session_id, task_id, block[0], config.device,
-                      _features_of(block, config.device)[0])
+    return _dataset([(subject_id, session_id)], _drawn(config, (task_id,)),
+                    config.device).get(subject_id, session_id, task_id)
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
     """Generate the full n_subjects x 5 sessions x 9 tasks dataset, one
-    session (nine recordings) per work unit, spread over processes as in
-    :func:`hwfatigue.data.write_dataset`.
-
-    Each recording's ``samples`` is a read-only view of its session's
-    (9, n, 7) block, and the process that draws a session also computes its
-    features (:func:`_generated_session`).  A block a forked child drew lies
-    in that child's one shared mapping, so one recording kept from it keeps
-    the child's whole file, every session it drew; one kept from the
-    caller's own sessions keeps only its session's nine arrays (see
-    :func:`hwfatigue.data._fan_out`).
-    """
-    means = _draw_means(TASKS, config.samples_per_recording)
-    sessions = _sessions(config)
-    drawn = _fan_out(functools.partial(_generated_session, config, means), sessions)
-    return Dataset(_recording(*session, task_id, samples, config.device, values)
-                   for session, (block, session_values) in zip(sessions, drawn)
-                   for task_id, samples, values in zip(TASKS, block, session_values))
-
-
-def _generated_session(config: SynthConfig, means: np.ndarray, session: tuple[int, int]
-                       ) -> tuple[np.ndarray, list[dict[str, float]]]:
-    """One session's :func:`_checked_samples` block and its
-    :func:`hwfatigue.data._features_of`."""
-    block = _checked_samples(config, means, TASKS, session)
-    return block, _features_of(block, config.device)
+    session (nine recordings) per unit of :func:`hwfatigue.data._dataset`,
+    which says how the units are spread over processes and what a kept
+    recording keeps.  Each recording's ``samples`` is a read-only view of
+    its session's (9, n, 7) block."""
+    return _dataset(_sessions(config), _drawn(config, TASKS), config.device)
 
 
 def write_synthetic(config: SynthConfig, root: Path | str) -> list[Path]:
     """Write the dataset of ``config`` under ``root``: the same files, and
     the same returned paths, as ``write_dataset(generate_dataset(config),
     root)``.  Each session is drawn, checked and written by the process that
-    owns it (see :mod:`hwfatigue.data`), so memory does not grow with the
-    campaign.  A subject count the two-digit layout cannot hold is refused
-    before anything is created."""
+    owns it, through the draw unit of :func:`generate_dataset`, and no
+    recording is built, so memory does not grow with the campaign.  A
+    subject count the two-digit layout cannot hold is refused before
+    anything is created."""
     root = Path(root)
     _check_subject_ids(range(1, config.n_subjects + 1))
-    means = _draw_means(TASKS, config.samples_per_recording)
-    written = _fan_out(functools.partial(_write_synthetic_session, config, means, root),
-                       _sessions(config))
+    drawn = _drawn(config, TASKS)
+    written = _fan_out(lambda session: _write_session(root, *drawn(session)), _sessions(config))
     return [path for paths in written for path in paths]
 
 
-def _write_synthetic_session(config: SynthConfig, means: np.ndarray, root: Path,
-                             session: tuple[int, int]) -> list[Path]:
-    block = _checked_samples(config, means, TASKS, session)
-    return _write_session(root, [(*session, task_id) for task_id in TASKS], block)
+def _drawn(config: SynthConfig, task_ids) -> Callable:
+    """The draw unit of ``task_ids``: one subject's ``(subject_id,
+    session_id)`` to the keys of its ``task_ids`` recordings and their
+    :func:`_checked_samples` block.  The means are computed once, here."""
+    means = _draw_means(task_ids, config.samples_per_recording)
+    return lambda session: ([(*session, task_id) for task_id in task_ids],
+                            _checked_samples(config, means, task_ids, session))
 
 
 def _sessions(config: SynthConfig) -> list[tuple[int, int]]:

@@ -64,6 +64,7 @@ class TestSynthCommand:
         assert config["n_subjects"] == 2
         assert config["samples_per_recording"] == 120
         assert config["fatigue_sessions"] == [4, 5]
+        assert config["base_saturation"] == 0.05 and config["fatigue_multiplier"] == 5.0
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -354,6 +355,20 @@ class TestAnalyzeCommand:
         assert stderr.startswith("error:") and stdout == ""
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "keep\n"
+
+    def test_removes_temporaries_of_dead_runs(self, dataset_dir, tmp_path, capsys):
+        # What a run killed between its writes leaves: .<name>.<pid>.tmp.
+        reaped = subprocess.Popen([sys.executable, "-c", "pass"])
+        reaped.wait()
+        out = tmp_path / "res"
+        out.mkdir()
+        planted = [f".table1.csv.{reaped.pid}.tmp", f".table2.json.{os.getppid()}.tmp",
+                   f".notes.txt.{reaped.pid}.tmp"]
+        for name in planted:
+            (out / name).write_text("partial\n")
+        assert run_cli(capsys, "analyze", "--input", str(dataset_dir),
+                       "--output", str(out))[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([*ANALYZE_OUTPUTS, *planted[1:]])
 
     @pytest.mark.parametrize("failing_write", range(1, len(ANALYZE_OUTPUTS) + 1))
     def test_write_fault_leaves_no_artifact(self, dataset_dir, tmp_path, capsys, monkeypatch,

@@ -9,9 +9,11 @@ import os
 import pickle
 import re
 import resource
+import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -679,6 +681,12 @@ class TestDataset:
         assert ds.get(3, 1, 1) is None
         assert [r.subject_id for r in ds] == [1, 2]
 
+    def test_refuses_what_is_not_a_recording(self):
+        with pytest.raises(DatasetError, match="^a dataset holds recordings, got 1$"):
+            Dataset([1])
+        with pytest.raises(DatasetError, match=r"^a dataset holds recordings, got array\("):
+            Dataset().add(np.zeros((1, 7)))
+
 
 class TestDatasetIO:
     def test_path_layout(self, tmp_path):
@@ -1040,9 +1048,10 @@ class TestFanOut:
         config = SynthConfig(n_subjects=2, samples_per_recording=20, seed=9)
         expected = write_dataset(generate_dataset(config), tmp_path / "split")
         processes(1)
-        for module in (data, synth):
-            monkeypatch.setattr(module, "_recording",
-                                lambda *args: pytest.fail("write_synthetic built a Recording"))
+        monkeypatch.setattr(data, "_recording",
+                            lambda *args: pytest.fail("write_synthetic built a Recording"))
+        monkeypatch.setattr(synth, "_dataset",
+                            lambda *args: pytest.fail("write_synthetic built a Dataset"))
         written = write_synthetic(config, tmp_path / "direct")
         assert [p.relative_to(tmp_path / "direct") for p in written] == [
             p.relative_to(tmp_path / "split") for p in expected]
@@ -1244,6 +1253,31 @@ class TestFanOut:
     def test_runs_inline_without_memfd(self, monkeypatch):
         monkeypatch.delattr(os, "memfd_create")
         assert data._process_count() == 1
+
+    def test_one_recording_never_imports_multiprocessing(self, tmp_path):
+        # One chunk runs inline without _process_count, which imports it; a
+        # fresh `import hwfatigue.cli` is what the benchmark's setup times.
+        script = (
+            "import contextlib, io, sys\n"
+            "import hwfatigue.cli as cli\n"
+            "from hwfatigue.data import parse_svc, read_svc, serialize_svc\n"
+            "from hwfatigue.synth import SynthConfig, generate_recording\n"
+            "config = SynthConfig(n_subjects=2, samples_per_recording=20)\n"
+            "rec = generate_recording(config, 2, 4, 3)\n"
+            "path = sys.argv[1]\n"
+            "with open(path, 'w') as svc:\n"
+            "    svc.write(serialize_svc(rec.samples))\n"
+            "assert (parse_svc(serialize_svc(rec.samples)) == read_svc(path)).all()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['features', '--input', path]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
+        src = str(Path(data.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "one.svc")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
 
 
 class TestCheckedOnce:
